@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: help ci vet verify-static build test smoke explore-smoke paper \
 	race-equivalence bench bench-full bench-baseline docs-verify docs \
-	daemon-smoke crash-smoke
+	daemon-smoke crash-smoke perfbench-test
 
 # help lists every target with its one-line purpose (the `##` comment on
 # the target line). Run `make help` when lost.
@@ -16,8 +16,9 @@ help:
 # the IR-level static verification of every workload, the engine
 # differential suite (cooperative vs reference, byte-identical, -race),
 # the race-mode parallel-sweep equivalence suite, the daemon lifecycle
-# smoke, the crash-recovery harness, and the generated-docs drift check.
-ci: vet build test smoke explore-smoke verify-static conflict-verify equivalence race-equivalence daemon-smoke crash-smoke docs-verify ## full CI gate (all of the below)
+# smoke, the crash-recovery harness, the generated-docs drift check, and
+# the benchmark module's tests.
+ci: vet build test smoke explore-smoke verify-static conflict-verify equivalence race-equivalence daemon-smoke crash-smoke docs-verify perfbench-test ## full CI gate (all of the below)
 
 # vet layers three static gates: formatting, the standard go vet, and
 # the repo's own staggervet analyzers (determinism, ntstore, siteattr,
@@ -42,6 +43,13 @@ verify-static: ## IR invariants: anchor scope, lock order, coverage, conformance
 # conflicting site pairs observed dynamically across three seeds.
 conflict-verify: ## may-conflict matrix: sufficiency, precision, dynamic containment
 	$(GO) run ./cmd/staggersim -verify-conflicts
+
+# perfbench-test runs the benchmark module's own tests. perfbench is a
+# separate Go module, so `go build ./...` and `go test ./...` never
+# compile it: without this target a harness or service API change could
+# break the benchmark unnoticed.
+perfbench-test: ## compile and test the perfbench benchmark module
+	cd perfbench && $(GO) test .
 
 build: ## go build ./...
 	$(GO) build ./...

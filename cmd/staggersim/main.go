@@ -94,8 +94,6 @@ func groupedUsage(fs *flag.FlagSet) {
 	}
 }
 
-func parseMode(s string) (stagger.Mode, error) { return stagger.ParseMode(s) }
-
 // opts holds every parsed flag. defineFlags registers all of them on
 // one FlagSet, so main (via flag.CommandLine) and the usage-coverage
 // test (via a scratch FlagSet) share a single definition of the
@@ -184,7 +182,7 @@ func defineFlags(fs *flag.FlagSet) *opts {
 	// name list before any simulation starts.
 	o.backendName = new(string)
 	fs.Func("backend", "concurrency-control backend: "+strings.Join(backend.Names(), " | ")+
-		" (empty: the pre-arena runtime under -mode)", func(s string) error {
+		" (empty: htm under -mode htm, staggered otherwise)", func(s string) error {
 		if _, err := backend.Get(s); err != nil {
 			return err
 		}
@@ -194,94 +192,124 @@ func defineFlags(fs *flag.FlagSet) *opts {
 	return o
 }
 
+// cell builds the run's RunConfig from the flags: the one description of
+// the cell that the single run, -explore, -chaos-campaign and the
+// static-verification modes all start from. -bench may still be a
+// comma-separated list here; the campaigns split it.
+func (o *opts) cell() (harness.RunConfig, error) {
+	m, err := stagger.ParseMode(*o.mode)
+	if err != nil {
+		return harness.RunConfig{}, err
+	}
+	rc := harness.RunConfig{
+		Benchmark:          *o.bench,
+		Mode:               m,
+		Backend:            *o.backendName,
+		Capacity:           *o.capacity,
+		Threads:            *o.threads,
+		Seed:               *o.seed,
+		TotalOps:           *o.ops,
+		Naive:              *o.naive,
+		Lazy:               *o.lazy,
+		Watchdog:           *o.watchdog,
+		Sched:              *o.schedSpec,
+		SchedSeed:          *o.schedSeed,
+		Oracle:             *o.oracleOn,
+		UnsafeEarlyRelease: *o.unsafeEarly,
+	}
+	ccfg := chaos.Scaled(*o.chaosRate, *o.seed)
+	if *o.chaosAbort > 0 {
+		ccfg.AbortRate = *o.chaosAbort
+	}
+	if *o.chaosNT > 0 {
+		ccfg.NTDelayRate = *o.chaosNT
+	}
+	if *o.chaosDrop > 0 {
+		ccfg.LockDropRate = *o.chaosDrop
+	}
+	if *o.chaosJit > 0 {
+		ccfg.JitterRate = *o.chaosJit
+	}
+	if ccfg.Enabled() {
+		rc.Chaos = &ccfg
+	}
+	if *o.hardened {
+		scfg := stagger.HardenedConfig(m)
+		rc.Stagger = &scfg
+	}
+	return rc, nil
+}
+
+// fail reports err and exits with code.
+func fail(code int, err error) {
+	fmt.Fprintln(os.Stderr, "staggersim:", err)
+	os.Exit(code)
+}
+
 func main() {
 	o := defineFlags(flag.CommandLine)
-	bench, mode, threads, seed, ops := o.bench, o.mode, o.threads, o.seed, o.ops
-	naive, lazy, trace, metricsOut, traceOut := o.naive, o.lazy, o.trace, o.metricsOut, o.traceOut
-	speedup, hardened, watchdog := o.speedup, o.hardened, o.watchdog
-	chaosRate, chaosAbort, chaosNT, chaosDrop, chaosJit := o.chaosRate, o.chaosAbort, o.chaosNT, o.chaosDrop, o.chaosJit
-	campaign, rates := o.campaign, o.rates
-	schedSpec, schedSeed, oracleOn, record := o.schedSpec, o.schedSeed, o.oracleOn, o.record
-	explore, exploreRuns, minimize, exploreOut := o.explore, o.exploreRuns, o.minimize, o.exploreOut
-	unsafeEarly, verifyStatic, injectDrift, workers := o.unsafeEarly, o.verifyStatic, o.injectDrift, o.workers
 	flag.Usage = func() { groupedUsage(flag.CommandLine) }
 	flag.Parse()
-	harness.SetWorkers(*workers)
+	harness.SetWorkers(*o.workers)
 
-	workloads.DriftVacationKind = *injectDrift
-	if *verifyStatic {
-		m, err := parseMode(*mode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(2)
-		}
-		runVerifyStatic(*bench, m, *threads, *seed, *ops, *naive, *o.jsonOut)
+	workloads.DriftVacationKind = *o.injectDrift
+	rc, err := o.cell()
+	if err != nil {
+		fail(2, err)
+	}
+	if *o.verifyStatic {
+		runVerifyStatic(rc.Benchmark, rc.Mode, rc.Threads, rc.Seed, rc.TotalOps, rc.Naive, *o.jsonOut)
 		return
 	}
 	if *o.verifyConflicts {
-		m, err := parseMode(*mode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(2)
-		}
-		runVerifyConflicts(*bench, m, *threads, *ops, *o.conflictSeeds,
-			*naive, *o.injectUnder, *o.injectOver, *o.jsonOut)
+		runVerifyConflicts(rc.Benchmark, rc.Mode, rc.Threads, rc.TotalOps, *o.conflictSeeds,
+			rc.Naive, *o.injectUnder, *o.injectOver, *o.jsonOut)
 		return
 	}
-
-	if *campaign {
-		runCampaign(*bench, *mode, *threads, *seed, *ops, *watchdog, *rates)
+	if *o.campaign {
+		runCampaign(rc, *o.rates)
 		return
 	}
-	ccfg := chaos.Scaled(*chaosRate, *seed)
-	if *chaosAbort > 0 {
-		ccfg.AbortRate = *chaosAbort
-	}
-	if *chaosNT > 0 {
-		ccfg.NTDelayRate = *chaosNT
-	}
-	if *chaosDrop > 0 {
-		ccfg.LockDropRate = *chaosDrop
-	}
-	if *chaosJit > 0 {
-		ccfg.JitterRate = *chaosJit
-	}
-	var cp *chaos.Config
-	if ccfg.Enabled() {
-		cp = &ccfg
-	}
-
-	if *explore {
-		runExplore(*bench, *mode, *o.backendName, *o.capacity, *threads, *seed, *ops, *schedSpec,
-			*exploreRuns, *minimize, *exploreOut, *traceOut, *unsafeEarly, *hardened, cp)
+	if *o.explore {
+		runExplore(rc, *o.exploreRuns, *o.minimize, *o.exploreOut, *o.traceOut)
 		return
 	}
 
 	// Replaying a trace file reproduces its run: the header supplies the
-	// benchmark, mode, thread count, and seeds unless flags override them.
-	if spec, err := sched.Parse(*schedSpec); *schedSpec != "" && err == nil && spec.Kind == "replay" {
+	// cell unless flags override it.
+	if spec, err := sched.Parse(rc.Sched); err == nil && spec.Kind == "replay" {
 		if tr, err := sched.ReadTraceFile(spec.File); err == nil {
+			hdr, err := harness.TraceConfig(tr)
+			if err != nil {
+				fail(2, err)
+			}
 			set := map[string]bool{}
 			flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 			if !set["bench"] {
-				*bench = tr.Bench
+				rc.Benchmark = hdr.Benchmark
 			}
 			if !set["mode"] {
-				*mode = tr.Mode
+				rc.Mode = hdr.Mode
+			}
+			if !set["backend"] {
+				rc.Backend = hdr.Backend
+			}
+			if !set["capacity"] {
+				rc.Capacity = hdr.Capacity
 			}
 			if !set["threads"] {
-				*threads = tr.Threads
+				rc.Threads = hdr.Threads
 			}
 			if !set["seed"] {
-				*seed = tr.WlSeed
+				rc.Seed = hdr.Seed
 			}
 			if !set["ops"] {
-				*ops = tr.Ops
+				rc.TotalOps = hdr.TotalOps
 			}
 		}
 	}
 
-	if *bench == "" {
+	if rc.Benchmark == "" {
 		fmt.Println("available benchmarks:")
 		for _, n := range workloads.Names() {
 			w, _ := workloads.Get(n)
@@ -293,39 +321,13 @@ func main() {
 		}
 		return
 	}
-	m, err := parseMode(*mode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "staggersim:", err)
-		os.Exit(2)
-	}
-	rc := harness.RunConfig{
-		Benchmark:          *bench,
-		Mode:               m,
-		Backend:            *o.backendName,
-		Capacity:           *o.capacity,
-		Threads:            *threads,
-		Seed:               *seed,
-		TotalOps:           *ops,
-		Naive:              *naive,
-		Lazy:               *lazy,
-		TraceN:             *trace,
-		Watchdog:           *watchdog,
-		Sched:              *schedSpec,
-		SchedSeed:          *schedSeed,
-		Record:             *record != "",
-		Oracle:             *oracleOn,
-		UnsafeEarlyRelease: *unsafeEarly,
-	}
-	if *record != "" && *schedSpec == "" {
+	if *o.record != "" && rc.Sched == "" {
 		fmt.Fprintln(os.Stderr, "staggersim: -record needs -sched (there is no schedule to record otherwise)")
 		os.Exit(2)
 	}
-	rc.Chaos = cp
-	if *hardened {
-		scfg := stagger.HardenedConfig(m)
-		rc.Stagger = &scfg
-	}
-	if *traceOut != "" {
+	rc.TraceN = *o.trace
+	rc.Record = *o.record != ""
+	if *o.traceOut != "" {
 		if rc.TraceN == 0 {
 			rc.TraceN = -1 // whole run
 		}
@@ -333,70 +335,48 @@ func main() {
 	}
 	res, err := harness.Run(rc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "staggersim:", err)
-		os.Exit(1)
+		fail(1, err)
 	}
-	if *metricsOut {
+	if *o.metricsOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(obs.Snapshot(res)); err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 	} else {
 		printResult(res)
 	}
-	if *traceOut != "" {
+	if *o.traceOut != "" {
 		meta := obs.TraceMeta{
-			Benchmark: rc.Benchmark, Mode: m.String(), Threads: rc.Threads,
+			Benchmark: rc.Benchmark, Mode: rc.Mode.String(), Threads: rc.Threads,
 			Seed: rc.Seed, Sched: rc.Sched, SchedSeed: rc.SchedSeed,
 			Extra: map[string]string{},
 		}
-		if cp != nil {
+		if cp := rc.Chaos; cp != nil {
 			meta.Extra["chaos"] = fmt.Sprintf("abort=%g ntdelay=%g lockdrop=%g jitter=%g",
 				cp.AbortRate, cp.NTDelayRate, cp.LockDropRate, cp.JitterRate)
 		}
-		if err := writeTraceFile(*traceOut, meta, res.Trace); err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(1)
+		if err := writeTraceFile(*o.traceOut, meta, res.Trace); err != nil {
+			fail(1, err)
 		}
 		fmt.Fprintf(os.Stderr, "trace       %d events -> %s (load in Perfetto or chrome://tracing)\n",
-			len(res.Trace), *traceOut)
+			len(res.Trace), *o.traceOut)
 	}
-	if *speedup {
+	if *o.speedup {
 		s, _, err := harness.Speedup(rc)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		fmt.Printf("\nspeedup over 1-thread sequential: %.2fx\n", s)
 	}
-	if *trace > 0 && len(res.Trace) > 0 {
+	if *o.trace > 0 && len(res.Trace) > 0 {
 		fmt.Printf("\ntrace (first %d events):\n%s", len(res.Trace), htm.FormatTrace(res.Trace))
 	}
-	if *record != "" {
-		spec, _ := sched.Parse(*schedSpec)
-		ss := *schedSeed
-		if ss == 0 {
-			ss = *seed
+	if *o.record != "" {
+		if err := harness.NewTrace(rc, res.SchedPicks).WriteFile(*o.record); err != nil {
+			fail(1, err)
 		}
-		tr := &sched.Trace{
-			Version: sched.TraceVersion,
-			Spec:    *schedSpec,
-			Seed:    ss,
-			Bench:   *bench,
-			Mode:    m.String(),
-			Threads: *threads,
-			WlSeed:  *seed,
-			Ops:     *ops,
-			Window:  spec.Window,
-			Picks:   res.SchedPicks,
-		}
-		if err := tr.WriteFile(*record); err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("recorded    %d scheduler decisions -> %s\n", len(res.SchedPicks), *record)
+		fmt.Printf("recorded    %d scheduler decisions -> %s\n", len(res.SchedPicks), *o.record)
 	}
 	failed := false
 	if res.VerifyErr != nil {
@@ -412,49 +392,27 @@ func main() {
 	}
 }
 
-// runExplore drives a schedule-exploration campaign over one or more
-// benchmarks (comma-separated), printing a per-benchmark summary and
-// exiting nonzero if any schedule produced a violation.
-func runExplore(benchList, mode, backendName string, capacity, threads int, seed int64, ops int,
-	spec string, runs int, minimize bool, outDir, traceOut string, unsafeEarly, hardened bool,
-	ccfg *chaos.Config) {
-	m, err := parseMode(mode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "staggersim:", err)
-		os.Exit(2)
-	}
-	if benchList == "" {
+// runExplore drives a schedule-exploration campaign of the cell over one
+// or more benchmarks (comma-separated in cell.Benchmark), printing a
+// per-benchmark summary and exiting nonzero if any schedule produced a
+// violation.
+func runExplore(cell harness.RunConfig, runs int, minimize bool, outDir, traceOut string) {
+	if cell.Benchmark == "" {
 		fmt.Fprintln(os.Stderr, "staggersim: -explore needs -bench (comma-separated list accepted)")
 		os.Exit(2)
 	}
 	anyFail := false
-	for _, bench := range strings.Split(benchList, ",") {
+	for _, bench := range strings.Split(cell.Benchmark, ",") {
 		bench = strings.TrimSpace(bench)
-		ec := harness.ExploreConfig{
-			Benchmark:          bench,
-			Mode:               m,
-			Backend:            backendName,
-			Capacity:           capacity,
-			Threads:            threads,
-			Seed:               seed,
-			TotalOps:           ops,
-			Chaos:              ccfg,
-			Spec:               spec,
-			Runs:               runs,
-			Minimize:           minimize,
-			UnsafeEarlyRelease: unsafeEarly,
-		}
-		if hardened {
-			scfg := stagger.HardenedConfig(m)
-			ec.Stagger = &scfg
-		}
+		ec := harness.ExploreConfig{Cell: cell, Runs: runs, Minimize: minimize}
+		ec.Cell.Benchmark = bench
 		rep, err := harness.Explore(ec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
+		ec = rep.Config
 		fmt.Printf("%-10s %s %2d threads: %d schedules, %d commits validated, %d failures\n",
-			bench, m, threads, rep.Runs, rep.Commits, len(rep.Failures))
+			bench, ec.Cell.Mode, ec.Cell.Threads, rep.Runs, rep.Commits, len(rep.Failures))
 		for i, f := range rep.Failures {
 			anyFail = true
 			fmt.Printf("  failure %d (sched seed %d, %d decisions", i, f.SchedSeed, len(f.Picks))
@@ -489,58 +447,37 @@ func runExplore(benchList, mode, backendName string, capacity, threads int, seed
 // tracing and writes its Perfetto timeline. Replay uses the recorded
 // decision sequence (the minimized prefix when available), so the
 // timeline shows exactly the schedule the minimizer reduced the failure
-// to — tagged with the seeds needed to regenerate it from scratch.
+// to — tagged with the seeds needed to regenerate it from scratch. ec is
+// the campaign's report config, so its scheduler default is filled in.
 func exportFailureTimeline(ec harness.ExploreConfig, f *harness.ExploreFailure, path string) error {
-	spec, err := sched.Parse(exploreSpecOf(ec))
+	spec, err := sched.Parse(ec.Cell.Sched)
 	if err != nil {
 		return err
 	}
-	picks := f.Picks
+	rc := ec.Cell
+	rc.ReplayPicks = f.Picks
 	tag := "full"
 	if f.Minimized != nil {
-		picks = f.Minimized
+		rc.ReplayPicks = f.Minimized
 		tag = "minimized"
 	}
-	rc := harness.RunConfig{
-		Benchmark:          ec.Benchmark,
-		Mode:               ec.Mode,
-		Backend:            ec.Backend,
-		Capacity:           ec.Capacity,
-		Threads:            ec.Threads,
-		Seed:               ec.Seed,
-		TotalOps:           ec.TotalOps,
-		Stagger:            ec.Stagger,
-		Chaos:              ec.Chaos,
-		Sched:              exploreSpecOf(ec),
-		ReplayPicks:        picks,
-		UnsafeEarlyRelease: ec.UnsafeEarlyRelease,
-		TraceN:             -1,
-		ExtTrace:           true,
-	}
+	rc.TraceN = -1
+	rc.ExtTrace = true
 	res, err := harness.Run(rc)
 	if err != nil {
 		return err
 	}
 	meta := obs.TraceMeta{
-		Benchmark: ec.Benchmark, Mode: ec.Mode.String(), Threads: ec.Threads,
-		Seed: ec.Seed, Sched: exploreSpecOf(ec), SchedSeed: f.SchedSeed,
+		Benchmark: rc.Benchmark, Mode: rc.Mode.String(), Threads: rc.Threads,
+		Seed: rc.Seed, Sched: rc.Sched, SchedSeed: f.SchedSeed,
 		Extra: map[string]string{
 			"failure":        f.Err.Error(),
 			"replay":         tag,
-			"decision_count": fmt.Sprint(len(picks)),
+			"decision_count": fmt.Sprint(len(rc.ReplayPicks)),
 			"window":         fmt.Sprint(spec.Window),
 		},
 	}
 	return writeTraceFile(path, meta, res.Trace)
-}
-
-// exploreSpecOf mirrors the harness's default scheduler spec for
-// exploration campaigns.
-func exploreSpecOf(ec harness.ExploreConfig) string {
-	if ec.Spec == "" {
-		return "pct:3"
-	}
-	return ec.Spec
 }
 
 // writeTraceFile exports events as a Chrome trace-event file.
@@ -556,23 +493,13 @@ func writeTraceFile(path string, meta obs.TraceMeta, events []htm.TraceEvent) er
 	return out.Close()
 }
 
-// runCampaign sweeps fault rates across benchmarks under the hardened
-// runtime and prints graceful-degradation curves.
-func runCampaign(bench, mode string, threads int, seed int64, ops int, watchdog uint64, rateList string) {
-	m, err := parseMode(mode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "staggersim:", err)
-		os.Exit(2)
-	}
-	cs := harness.ChaosSweep{
-		Mode:     m,
-		Threads:  threads,
-		Seed:     seed,
-		TotalOps: ops,
-		Watchdog: watchdog,
-	}
-	if bench != "" {
-		cs.Benchmarks = strings.Split(bench, ",")
+// runCampaign sweeps fault rates across benchmarks (comma-separated in
+// cell.Benchmark, empty for all) under the hardened runtime and prints
+// graceful-degradation curves.
+func runCampaign(cell harness.RunConfig, rateList string) {
+	cs := harness.ChaosSweep{Cell: cell}
+	if cell.Benchmark != "" {
+		cs.Benchmarks = strings.Split(cell.Benchmark, ",")
 	}
 	if rateList != "" {
 		for _, f := range strings.Split(rateList, ",") {
@@ -587,8 +514,7 @@ func runCampaign(bench, mode string, threads int, seed int64, ops int, watchdog 
 	cells, err := harness.RunChaosSweep(cs)
 	fmt.Print(harness.FormatChaos(cells))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "staggersim:", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 }
 

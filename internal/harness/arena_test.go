@@ -97,8 +97,8 @@ func TestLimitedCapacityKnob(t *testing.T) {
 }
 
 // TestArenaLegacyPathUnchanged proves Backend "" and Backend "htm"
-// simulate the same machine: selecting the baseline through the arena
-// must be bit-identical to the historical direct path.
+// simulate the same machine: an empty backend under ModeHTM must resolve
+// to the htm registry entry, bit-identically.
 func TestArenaLegacyPathUnchanged(t *testing.T) {
 	legacy, err := Run(RunConfig{
 		Benchmark: "ssca2", Mode: stagger.ModeHTM, Threads: 4, Seed: 5, TotalOps: 200,
@@ -113,7 +113,7 @@ func TestArenaLegacyPathUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(legacy.Stats, arena.Stats) {
-		t.Fatalf("backend=htm diverged from the legacy path:\nlegacy %+v\narena  %+v",
+		t.Fatalf("backend=htm diverged from the empty backend:\nempty %+v\nhtm   %+v",
 			legacy.Stats, arena.Stats)
 	}
 }
@@ -161,7 +161,7 @@ func TestArenaCacheSeparation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if viaArena == legacy {
-		t.Fatal("backend=htm shared a cache entry with the legacy path")
+		t.Fatal("backend=htm shared a cache entry with the empty backend")
 	}
 	occRC := base
 	occRC.Backend = "occ"

@@ -26,8 +26,9 @@ import (
 // (Result.ConfPairs and the report's conflicting_pairs section); 3
 // added concurrency-control backend selection (RunConfig.Backend and
 // Capacity join the key, and backend resolution can rewrite the
-// effective mode).
-const CacheSchema = 3
+// effective mode); 4 made exploration campaigns run their whole cell
+// (stored explore results now honour naive, lazy and watchdog).
+const CacheSchema = 4
 
 type cacheKey struct {
 	schema    int

@@ -19,29 +19,26 @@ import (
 // makespan at each fault rate normalized to the fault-free run — which is
 // the robustness analogue of Figure 7.
 
+// ChaosWatchdog bounds each fault-injected cell's virtual clock unless
+// the cell sets its own: an injected livelock must fail loudly inside the
+// simulation, with its last trace events, instead of hanging the run.
+const ChaosWatchdog = 200_000_000
+
 // ChaosSweep configures one campaign.
 type ChaosSweep struct {
+	// Cell is the template every swept cell starts from; the sweep sets
+	// its Benchmark and Chaos. Campaigns default to PaperThreads, seed
+	// 42, the ChaosWatchdog bound and, when Cell.Stagger is nil,
+	// HardenedConfig: the self-healing configuration the campaign exists
+	// to exercise. The seed drives both the workload and the fault
+	// schedule.
+	Cell RunConfig
 	// Benchmarks to sweep; empty means all workloads.
 	Benchmarks []string
 	// Rates are the per-event fault probabilities to sweep. The first
 	// rate-0 cell (added automatically if absent) is the degradation
 	// denominator. Empty means {0, 0.002, 0.01, 0.05}.
 	Rates []float64
-	// Mode under test; campaigns default to full staggered transactions.
-	Mode stagger.Mode
-	// Threads per cell (default PaperThreads).
-	Threads int
-	// Seed drives both the workload and the fault schedule.
-	Seed int64
-	// TotalOps overrides each workload's default operation count (0 =
-	// default; campaigns usually shorten runs).
-	TotalOps int
-	// Watchdog bounds each cell's virtual time (default 200M cycles) so a
-	// livelocked cell fails loudly with its last trace events.
-	Watchdog uint64
-	// Stagger overrides the runtime config; nil uses HardenedConfig, the
-	// self-healing configuration the campaign exists to exercise.
-	Stagger *stagger.Config
 }
 
 // ChaosCell is one (benchmark, rate) result.
@@ -79,18 +76,18 @@ func (cs *ChaosSweep) defaults() {
 	if cs.Rates[0] != 0 {
 		cs.Rates = append([]float64{0}, cs.Rates...)
 	}
-	if cs.Threads == 0 {
-		cs.Threads = PaperThreads
+	if cs.Cell.Threads == 0 {
+		cs.Cell.Threads = PaperThreads
 	}
-	if cs.Seed == 0 {
-		cs.Seed = 42
+	if cs.Cell.Seed == 0 {
+		cs.Cell.Seed = 42
 	}
-	if cs.Watchdog == 0 {
-		cs.Watchdog = 200_000_000
+	if cs.Cell.Watchdog == 0 {
+		cs.Cell.Watchdog = ChaosWatchdog
 	}
-	if cs.Stagger == nil {
-		scfg := stagger.HardenedConfig(cs.Mode)
-		cs.Stagger = &scfg
+	if cs.Cell.Stagger == nil {
+		scfg := stagger.HardenedConfig(cs.Cell.Mode)
+		cs.Cell.Stagger = &scfg
 	}
 }
 
@@ -110,17 +107,11 @@ func RunChaosSweep(cs ChaosSweep) ([]ChaosCell, error) {
 	var metas []cellMeta
 	for _, b := range cs.Benchmarks {
 		for _, rate := range cs.Rates {
-			rc := RunConfig{
-				Benchmark: b,
-				Mode:      cs.Mode,
-				Threads:   cs.Threads,
-				Seed:      cs.Seed,
-				TotalOps:  cs.TotalOps,
-				Watchdog:  cs.Watchdog,
-				Stagger:   cs.Stagger,
-			}
+			rc := cs.Cell
+			rc.Benchmark = b
+			rc.Chaos = nil
 			if rate > 0 {
-				ccfg := chaos.Scaled(rate, cs.Seed)
+				ccfg := chaos.Scaled(rate, rc.Seed)
 				rc.Chaos = &ccfg
 			}
 			cfgs = append(cfgs, rc)

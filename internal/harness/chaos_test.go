@@ -193,8 +193,7 @@ func TestChaosSweepRuns(t *testing.T) {
 	cells, err := RunChaosSweep(ChaosSweep{
 		Benchmarks: []string{"list-hi", "kmeans"},
 		Rates:      []float64{0, 0.01},
-		Threads:    8,
-		TotalOps:   240,
+		Cell:       RunConfig{Threads: 8, TotalOps: 240},
 	})
 	if err != nil {
 		t.Fatal(err)

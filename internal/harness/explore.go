@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/chaos"
 	"repro/internal/sched"
 	"repro/internal/stagger"
 )
@@ -13,28 +12,14 @@ import (
 // one experiment cell under an adversarial scheduler, each with a fresh
 // scheduler seed, each recorded and checked by the serializability oracle.
 type ExploreConfig struct {
-	// Benchmark / Mode / Backend / Capacity / Threads / Seed / TotalOps
-	// select the cell, as in RunConfig. Seed fixes the workload; only the
-	// schedule varies.
-	Benchmark string
-	Mode      stagger.Mode
-	Backend   string
-	Capacity  int
-	Threads   int
-	Seed      int64
-	TotalOps  int
-	// Stagger optionally overrides the runtime configuration (nil = the
-	// paper's defaults for Mode), e.g. a tiny retry budget to provoke
-	// irrevocable fallbacks.
-	Stagger *stagger.Config
-	// Chaos composes fault injection with schedule exploration: every
-	// explored schedule also runs under the given deterministic fault
-	// config, so fault x schedule sweeps are one campaign.
-	Chaos *chaos.Config
-
-	// Spec is the scheduler specification ("" = "pct:3"); replay specs make
-	// no sense here and are rejected.
-	Spec string
+	// Cell is the experiment cell every run executes. Cell.Seed fixes the
+	// workload; only the schedule varies. Cell.Sched is the scheduler
+	// specification ("" = "pct:3"; replay specs make no sense here and
+	// are rejected). Each run overrides SchedSeed, Record and Oracle, and
+	// a zero WatchdogTrace becomes 256: exploration keeps a deeper tail
+	// than the htm default because adversarial schedules are exactly the
+	// runs whose ends are worth reading.
+	Cell RunConfig
 	// Runs is the number of schedules to explore (0 = 100).
 	Runs int
 
@@ -43,14 +28,6 @@ type ExploreConfig struct {
 	Minimize bool
 	// MinimizeBudget caps replay probes per failure (0 = 512).
 	MinimizeBudget int
-
-	// UnsafeEarlyRelease plumbs the test-only broken irrevocable fallback
-	// through to the runtime, so tests can prove campaigns catch it.
-	UnsafeEarlyRelease bool
-	// WatchdogTrace sizes the watchdog event ring (0 = 256: exploration
-	// keeps a deeper tail than the htm default because adversarial
-	// schedules are exactly the runs whose ends are worth reading).
-	WatchdogTrace int
 
 	// Progress, if non-nil, is called after every run.
 	Progress func(run int, failed bool)
@@ -62,9 +39,23 @@ type ExploreConfig struct {
 	Ctx context.Context
 }
 
+// defaults fills the campaign defaults in place.
+func (ec *ExploreConfig) defaults() {
+	if ec.Cell.Sched == "" {
+		ec.Cell.Sched = "pct:3"
+	}
+	if ec.Cell.Seed == 0 {
+		ec.Cell.Seed = 42
+	}
+	if ec.Runs <= 0 {
+		ec.Runs = 100
+	}
+}
+
 // ExploreFailure is one failing schedule, with enough to reproduce it.
 type ExploreFailure struct {
-	// SchedSeed reproduces the schedule generatively (same Spec + seed).
+	// SchedSeed reproduces the schedule generatively (same Cell.Sched +
+	// seed).
 	SchedSeed int64
 	// Err is the oracle violation or workload verification failure.
 	Err error
@@ -79,60 +70,93 @@ type ExploreFailure struct {
 
 // Trace packages the failure as a writable trace for `-sched=replay:`.
 func (f *ExploreFailure) Trace(ec ExploreConfig) *sched.Trace {
-	spec, _ := sched.Parse(exploreSpec(ec))
-	picks := f.Picks
+	ec.defaults()
+	rc := ec.Cell
+	rc.SchedSeed = f.SchedSeed
 	if f.Minimized != nil {
-		picks = f.Minimized
+		return NewTrace(rc, f.Minimized)
 	}
+	return NewTrace(rc, f.Picks)
+}
+
+// NewTrace packages a run of rc and its recorded scheduler decisions as a
+// replayable trace. The scheduler seed defaults to the workload seed, as
+// in Run.
+func NewTrace(rc RunConfig, picks []uint32) *sched.Trace {
+	if rc.Seed == 0 {
+		rc.Seed = 42
+	}
+	if rc.SchedSeed == 0 {
+		rc.SchedSeed = rc.Seed
+	}
+	spec, _ := sched.Parse(rc.Sched)
 	return &sched.Trace{
-		Version: sched.TraceVersion,
-		Spec:    exploreSpec(ec),
-		Seed:    f.SchedSeed,
-		Bench:   ec.Benchmark,
-		Mode:    ec.Mode.String(),
-		Threads: ec.Threads,
-		WlSeed:  ec.Seed,
-		Ops:     ec.TotalOps,
-		Window:  spec.Window,
-		Picks:   picks,
+		Version:  sched.TraceVersion,
+		Spec:     rc.Sched,
+		Seed:     rc.SchedSeed,
+		Bench:    rc.Benchmark,
+		Mode:     rc.Mode.String(),
+		Backend:  rc.Backend,
+		Capacity: rc.Capacity,
+		Threads:  rc.Threads,
+		WlSeed:   rc.Seed,
+		Ops:      rc.TotalOps,
+		Window:   spec.Window,
+		Picks:    picks,
 	}
+}
+
+// TraceConfig reads a trace back into the cell it recorded, set to replay
+// the recorded decisions under the recorded window.
+func TraceConfig(t *sched.Trace) (RunConfig, error) {
+	m, err := stagger.ParseMode(t.Mode)
+	if err != nil {
+		return RunConfig{}, fmt.Errorf("harness: trace header: %w", err)
+	}
+	spec, err := sched.Parse(t.Spec)
+	if err != nil {
+		return RunConfig{}, fmt.Errorf("harness: trace header: %w", err)
+	}
+	if t.Window != 0 {
+		spec.Window = t.Window
+	}
+	picks := t.Picks
+	if picks == nil {
+		picks = []uint32{} // an empty trace still replays, never regenerates
+	}
+	return RunConfig{
+		Benchmark:   t.Bench,
+		Mode:        m,
+		Backend:     t.Backend,
+		Capacity:    t.Capacity,
+		Threads:     t.Threads,
+		Seed:        t.WlSeed,
+		TotalOps:    t.Ops,
+		Sched:       spec.String(),
+		SchedSeed:   t.Seed,
+		ReplayPicks: picks,
+	}, nil
 }
 
 // ExploreReport aggregates one campaign.
 type ExploreReport struct {
-	Config   ExploreConfig
+	Config   ExploreConfig // as run, with the campaign defaults filled in
 	Runs     int
 	Commits  int // oracle-validated commits across all runs
 	Failures []ExploreFailure
-}
-
-func exploreSpec(ec ExploreConfig) string {
-	if ec.Spec == "" {
-		return "pct:3"
-	}
-	return ec.Spec
 }
 
 // Explore runs a schedule-exploration campaign. Infrastructure errors
 // (unknown benchmark, watchdog timeout) abort the campaign; serializability
 // violations and workload verification failures are collected as findings.
 func Explore(ec ExploreConfig) (*ExploreReport, error) {
-	spec, err := sched.Parse(exploreSpec(ec))
+	ec.defaults()
+	spec, err := sched.Parse(ec.Cell.Sched)
 	if err != nil {
 		return nil, err
 	}
 	if spec.Kind == "replay" {
-		return nil, fmt.Errorf("harness: explore needs a generative scheduler, not %q", ec.Spec)
-	}
-	if ec.Runs <= 0 {
-		ec.Runs = 100
-	}
-	if ec.Seed == 0 {
-		ec.Seed = 42
-	}
-	wt := ec.WatchdogTrace
-	if wt == 0 {
-		wt = 256
+		return nil, fmt.Errorf("harness: explore needs a generative scheduler, not %q", ec.Cell.Sched)
 	}
 
 	// Every explored schedule is an independent cell (distinct scheduler
@@ -144,23 +168,14 @@ func Explore(ec ExploreConfig) (*ExploreReport, error) {
 	for i := range cfgs {
 		// Distinct, nonzero scheduler seeds; the workload seed stays fixed
 		// so every run explores the same program.
-		cfgs[i] = RunConfig{
-			Benchmark:          ec.Benchmark,
-			Mode:               ec.Mode,
-			Backend:            ec.Backend,
-			Capacity:           ec.Capacity,
-			Threads:            ec.Threads,
-			Seed:               ec.Seed,
-			TotalOps:           ec.TotalOps,
-			Stagger:            ec.Stagger,
-			Chaos:              ec.Chaos,
-			Sched:              exploreSpec(ec),
-			SchedSeed:          ec.Seed + int64(i)*1_000_003 + 1,
-			Record:             true,
-			Oracle:             true,
-			UnsafeEarlyRelease: ec.UnsafeEarlyRelease,
-			WatchdogTrace:      wt,
+		rc := ec.Cell
+		rc.SchedSeed = ec.Cell.Seed + int64(i)*1_000_003 + 1
+		rc.Record = true
+		rc.Oracle = true
+		if rc.WatchdogTrace == 0 {
+			rc.WatchdogTrace = 256
 		}
+		cfgs[i] = rc
 	}
 	ctx := ec.Ctx
 	if ctx == nil {

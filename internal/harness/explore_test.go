@@ -1,12 +1,14 @@
 package harness
 
 import (
-	"os"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/chaos"
+	"repro/internal/htm"
 	"repro/internal/sched"
 	"repro/internal/stagger"
 )
@@ -58,50 +60,71 @@ func TestReplayFidelity(t *testing.T) {
 	}
 }
 
-// TestReplayTraceFile: the trace file written for a run replays it via the
-// replay:<file> scheduler spec, the CLI's reproduction path.
+// TestReplayTraceFile: the trace file written for a run replays it, under
+// every registered backend: record, write the file, read it back into a
+// cell, and replay both in memory and via the replay:<file> scheduler
+// spec (the CLI's reproduction path). The header must carry the backend
+// and capacity, or the replay silently runs a different system.
 func TestReplayTraceFile(t *testing.T) {
-	rc := RunConfig{
-		Benchmark: "list-hi",
-		Mode:      stagger.ModeStaggeredHW,
-		Threads:   4,
-		Seed:      11,
-		TotalOps:  240,
-		Sched:     "pct:3",
-		SchedSeed: 99,
-		Record:    true,
+	for _, bk := range backend.Names() {
+		t.Run(bk, func(t *testing.T) {
+			rc := RunConfig{
+				Benchmark: "list-hi",
+				Backend:   bk,
+				Threads:   4,
+				Seed:      11,
+				TotalOps:  240,
+				Sched:     "pct:3",
+				SchedSeed: 99,
+				Record:    true,
+			}
+			if bk == "limited" {
+				rc.Capacity = 8
+			}
+			rec, err := Run(rc)
+			if err != nil {
+				t.Fatalf("record run: %v", err)
+			}
+			path := filepath.Join(t.TempDir(), "fail.trace")
+			if err := NewTrace(rc, rec.SchedPicks).WriteFile(path); err != nil {
+				t.Fatalf("write trace: %v", err)
+			}
+			tr, err := sched.ReadTraceFile(path)
+			if err != nil {
+				t.Fatalf("read trace: %v", err)
+			}
+			rp, err := TraceConfig(tr)
+			if err != nil {
+				t.Fatalf("trace config: %v", err)
+			}
+			fromFile := rp
+			fromFile.Sched = "replay:" + path
+			fromFile.ReplayPicks = nil
+			for name, cfg := range map[string]RunConfig{"picks": rp, "file": fromFile} {
+				rep, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s replay run: %v", name, err)
+				}
+				if !reflect.DeepEqual(rec.Stats, rep.Stats) {
+					t.Fatalf("%s replay diverges from recording: makespan %d, want %d",
+						name, rep.Stats.Makespan, rec.Stats.Makespan)
+				}
+			}
+		})
 	}
-	rec, err := Run(rc)
-	if err != nil {
-		t.Fatalf("record run: %v", err)
-	}
-	tr := &sched.Trace{
-		Version: sched.TraceVersion,
-		Spec:    rc.Sched,
-		Seed:    rc.SchedSeed,
-		Bench:   rc.Benchmark,
-		Mode:    rc.Mode.String(),
-		Threads: rc.Threads,
-		WlSeed:  rc.Seed,
-		Window:  sched.DefaultWindow,
-		Picks:   rec.SchedPicks,
-	}
-	path := filepath.Join(t.TempDir(), "fail.trace")
-	if err := tr.WriteFile(path); err != nil {
-		t.Fatalf("write trace: %v", err)
-	}
+}
 
-	rp := rc
-	rp.Record = false
-	rp.Sched = "replay:" + path
-	rep, err := Run(rp)
-	if err != nil {
-		t.Fatalf("replay run: %v", err)
+// TestExploreHonoursWatchdog: the campaign runs its whole cell, so a
+// watchdog set on the cell trips inside every explored schedule.
+func TestExploreHonoursWatchdog(t *testing.T) {
+	_, err := Explore(ExploreConfig{
+		Cell: RunConfig{Benchmark: "list-hi", Threads: 4, TotalOps: 160, Watchdog: 2000},
+		Runs: 2,
+	})
+	var we *htm.WatchdogError
+	if !errors.As(err, &we) {
+		t.Fatalf("explore err = %v, want a watchdog trip", err)
 	}
-	if !reflect.DeepEqual(rec.Stats, rep.Stats) {
-		t.Fatalf("trace-file replay diverges from recording")
-	}
-	_ = os.Remove(path)
 }
 
 // TestExploreCleanCampaign: a seeded campaign over correct protocols must
@@ -111,13 +134,9 @@ func TestExploreCleanCampaign(t *testing.T) {
 	for _, mode := range []stagger.Mode{stagger.ModeHTM, stagger.ModeStaggeredHW} {
 		for _, bench := range []string{"list-hi", "kmeans", "tsp"} {
 			rep, err := Explore(ExploreConfig{
-				Benchmark: bench,
-				Mode:      mode,
-				Threads:   4,
-				Seed:      17,
-				TotalOps:  160,
-				Spec:      "pct:3",
-				Runs:      4,
+				Cell: RunConfig{Benchmark: bench, Mode: mode, Threads: 4, Seed: 17,
+					TotalOps: 160, Sched: "pct:3"},
+				Runs: 4,
 			})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", bench, mode, err)
@@ -140,15 +159,9 @@ func TestExploreComposesWithChaos(t *testing.T) {
 	scfg := stagger.HardenedConfig(stagger.ModeStaggeredHW)
 	ccfg := chaos.Scaled(0.01, 42)
 	rep, err := Explore(ExploreConfig{
-		Benchmark: "list-hi",
-		Mode:      stagger.ModeStaggeredHW,
-		Threads:   4,
-		Seed:      19,
-		TotalOps:  160,
-		Stagger:   &scfg,
-		Chaos:     &ccfg,
-		Spec:      "pct:3",
-		Runs:      4,
+		Cell: RunConfig{Benchmark: "list-hi", Mode: stagger.ModeStaggeredHW, Threads: 4, Seed: 19,
+			TotalOps: 160, Stagger: &scfg, Chaos: &ccfg, Sched: "pct:3"},
+		Runs: 4,
 	})
 	if err != nil {
 		t.Fatalf("explore: %v", err)
@@ -175,16 +188,11 @@ func TestExploreCatchesEarlyReleaseAndMinimizes(t *testing.T) {
 	scfg := stagger.DefaultConfig(stagger.ModeHTM)
 	scfg.MaxRetries = 1
 	rep, err := Explore(ExploreConfig{
-		Benchmark:          "intruder",
-		Mode:               stagger.ModeHTM,
-		Threads:            4,
-		Seed:               23,
-		Stagger:            &scfg,
-		Spec:               "pct:3",
-		Runs:               12,
-		Minimize:           true,
-		MinimizeBudget:     200,
-		UnsafeEarlyRelease: true,
+		Cell: RunConfig{Benchmark: "intruder", Mode: stagger.ModeHTM, Threads: 4, Seed: 23,
+			Stagger: &scfg, Sched: "pct:3", UnsafeEarlyRelease: true},
+		Runs:           12,
+		Minimize:       true,
+		MinimizeBudget: 200,
 	})
 	if err != nil {
 		t.Fatalf("explore: %v", err)

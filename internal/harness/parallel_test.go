@@ -99,9 +99,7 @@ func TestChaosSweepIdenticalAcrossWorkers(t *testing.T) {
 	sweep := ChaosSweep{
 		Benchmarks: []string{"list-hi", "tsp"},
 		Rates:      []float64{0, 0.01},
-		Mode:       stagger.ModeStaggeredHW,
-		Threads:    4,
-		TotalOps:   240,
+		Cell:       RunConfig{Mode: stagger.ModeStaggeredHW, Threads: 4, TotalOps: 240},
 	}
 	render := func(workers int) string {
 		var s string
@@ -130,8 +128,9 @@ func TestExploreIdenticalAcrossWorkers(t *testing.T) {
 		var order []int
 		withWorkers(t, workers, func() {
 			ec := ExploreConfig{
-				Benchmark: "list-hi", Mode: stagger.ModeStaggeredHW,
-				Threads: 4, TotalOps: 120, Runs: 8,
+				Cell: RunConfig{Benchmark: "list-hi", Mode: stagger.ModeStaggeredHW,
+					Threads: 4, TotalOps: 120},
+				Runs:     8,
 				Progress: func(run int, failed bool) { order = append(order, run) },
 			}
 			rep, err := Explore(ec)

@@ -29,11 +29,12 @@ type RunConfig struct {
 	// Staggered).
 	Mode stagger.Mode
 	// Backend selects the concurrency-control backend by registry name
-	// ("htm", "staggered", "limited", "occ"; see backend.Names). Empty
-	// keeps the historical path: the stagger runtime under Mode,
-	// bit-identical to runs before the arena existed. Non-empty resolves
-	// Mode through the backend (e.g. "htm" forces the uninstrumented
-	// baseline) before the machine is configured.
+	// ("htm", "staggered", "limited", "occ"; see backend.Names). The
+	// backend resolves Mode (e.g. "htm" forces the uninstrumented
+	// baseline) before the machine is configured. Empty runs Mode through
+	// the registry as "htm" for ModeHTM and "staggered" otherwise, which
+	// leaves Mode unchanged; the field itself stays empty in
+	// Result.Config, so cache and store keys keep their spelling.
 	Backend string
 	// Capacity is the speculative line-capacity knob for the "limited"
 	// backend (0 = that backend's default); other backends ignore it.
@@ -223,21 +224,24 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 		rc.Seed = 42
 	}
 
-	// Resolve the arena backend first: the effective mode decides the
-	// machine's conflicting-PC hardware, and the backend may adjust the
-	// machine config (the limited variant's capacity bound).
-	var bk backend.Info
-	useArena := rc.Backend != ""
-	if useArena {
-		bk, err = backend.Get(rc.Backend)
-		if err != nil {
-			return nil, err
+	// Resolve the backend first: the effective mode decides the machine's
+	// conflicting-PC hardware, and the backend may adjust the machine
+	// config (the limited variant's capacity bound).
+	name := rc.Backend
+	if name == "" {
+		name = "staggered"
+		if rc.Mode == stagger.ModeHTM {
+			name = "htm"
 		}
-		if bk.Software {
-			rc.Mode = stagger.ModeHTM
-		} else {
-			rc.Mode = stagger.ResolveMode(rc.Backend, rc.Mode)
-		}
+	}
+	bk, err := backend.Get(name)
+	if err != nil {
+		return nil, err
+	}
+	if bk.Software {
+		rc.Mode = stagger.ModeHTM
+	} else {
+		rc.Mode = stagger.ResolveMode(name, rc.Mode)
 	}
 
 	mcfg := htm.DefaultConfig()
@@ -256,7 +260,7 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 	if rc.WatchdogTrace != 0 {
 		mcfg.WatchdogTrace = rc.WatchdogTrace
 	}
-	if useArena && bk.PrepareMachine != nil {
+	if bk.PrepareMachine != nil {
 		bk.PrepareMachine(&mcfg, backend.Options{Capacity: rc.Capacity})
 	}
 
@@ -303,31 +307,19 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 		mach.SetFaultInjector(inj)
 		scfg.LockFaults = inj
 	}
-	// Build the runtime: through the arena registry when a backend is
-	// named, directly otherwise (the historical path). The concrete
-	// stagger runtime, when the backend has one, is recovered for the
-	// stagger-specific result fields below.
-	var brt backend.Runtime
+	// The concrete stagger runtime, when the backend has one, is recovered
+	// for the stagger-specific result fields below.
+	brt, err := bk.New(mach, comp, backend.Options{
+		Capacity:      rc.Capacity,
+		StaggerConfig: scfg,
+		SiteRecorder:  rc.SiteRecorder,
+	})
+	if err != nil {
+		return nil, err
+	}
 	var rt *stagger.Runtime
-	if useArena {
-		opts := backend.Options{
-			Capacity:      rc.Capacity,
-			StaggerConfig: scfg,
-			SiteRecorder:  rc.SiteRecorder,
-		}
-		brt, err = bk.New(mach, comp, opts)
-		if err != nil {
-			return nil, err
-		}
-		if u, ok := brt.(interface{ Unwrap() *stagger.Runtime }); ok {
-			rt = u.Unwrap()
-		}
-	} else {
-		rt = stagger.New(mach, comp, scfg)
-		if rc.SiteRecorder != nil {
-			rt.SetSiteRecorder(rc.SiteRecorder)
-		}
-		brt = rt.Backend()
+	if u, ok := brt.(interface{ Unwrap() *stagger.Runtime }); ok {
+		rt = u.Unwrap()
 	}
 
 	if done := ctx.Done(); done != nil {
@@ -456,13 +448,11 @@ func splitOps(total, threads, tid int) int {
 // in parallel under rc, returning parallel speedup over sequential.
 func Speedup(rc RunConfig) (float64, *Result, error) {
 	seq := rc
+	// Every backend is measured against the same denominator: the
+	// unlimited plain-HTM machine run sequentially.
 	seq.Mode = stagger.ModeHTM
+	seq.Backend = "htm"
 	seq.Threads = 1
-	if seq.Backend != "" {
-		// Every backend is measured against the same denominator: the
-		// unlimited plain-HTM machine run sequentially.
-		seq.Backend = "htm"
-	}
 	seqRes, err := Run(seq)
 	if err != nil {
 		return 0, nil, err

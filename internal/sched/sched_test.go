@@ -153,15 +153,17 @@ func TestRecorderNormalizesAndReplays(t *testing.T) {
 
 func TestTraceRoundTrip(t *testing.T) {
 	tr := &Trace{
-		Version: TraceVersion,
-		Spec:    "pct:3",
-		Seed:    99,
-		Bench:   "list",
-		Mode:    "staggered",
-		Threads: 8,
-		WlSeed:  1,
-		Window:  DefaultWindow,
-		Picks:   []uint32{0, 1, 2, 3, 300, 0, 7, 1 << 20},
+		Version:  TraceVersion,
+		Spec:     "pct:3",
+		Seed:     99,
+		Bench:    "list",
+		Mode:     "staggered",
+		Backend:  "limited",
+		Capacity: 8,
+		Threads:  8,
+		WlSeed:   1,
+		Window:   DefaultWindow,
+		Picks:    []uint32{0, 1, 2, 3, 300, 0, 7, 1 << 20},
 	}
 	back, err := Decode(tr.Encode())
 	if err != nil {
@@ -181,6 +183,22 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tr, back) {
 		t.Fatalf("file round trip mismatch")
+	}
+}
+
+// TestTraceDecodesPreBackendHeader: traces written before the header
+// carried a backend still decode, as the empty backend.
+func TestTraceDecodesPreBackendHeader(t *testing.T) {
+	old := `{"version":1,"spec":"pct:3","seed":7,"bench":"list-hi","mode":"Staggered",` +
+		`"threads":4,"wl_seed":42,"ops":240,"window":4096}` + "\nAAEC\n"
+	tr, err := Decode([]byte(old))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	want := &Trace{Version: 1, Spec: "pct:3", Seed: 7, Bench: "list-hi", Mode: "Staggered",
+		Threads: 4, WlSeed: 42, Ops: 240, Window: 4096, Picks: []uint32{0, 1, 2}}
+	if !reflect.DeepEqual(tr, want) {
+		t.Fatalf("decoded %+v, want %+v", tr, want)
 	}
 }
 

@@ -22,15 +22,17 @@ const TraceVersion = 1
 // human-greppable; the picks stay compact (a 100k-decision trace of a
 // 16-core run is ~130 KB).
 type Trace struct {
-	Version int    `json:"version"`
-	Spec    string `json:"spec"` // scheduler spec that generated the run
-	Seed    int64  `json:"seed"` // scheduler seed (not the workload seed)
-	Bench   string `json:"bench"`
-	Mode    string `json:"mode"`
-	Threads int    `json:"threads"`
-	WlSeed  int64  `json:"wl_seed"`       // workload/machine seed
-	Ops     int    `json:"ops,omitempty"` // total operations (0 = workload default)
-	Window  uint64 `json:"window"`
+	Version  int    `json:"version"`
+	Spec     string `json:"spec"` // scheduler spec that generated the run
+	Seed     int64  `json:"seed"` // scheduler seed (not the workload seed)
+	Bench    string `json:"bench"`
+	Mode     string `json:"mode"`
+	Backend  string `json:"backend,omitempty"`  // registry name ("" = resolved from Mode)
+	Capacity int    `json:"capacity,omitempty"` // limited backend's line capacity (0 = its default)
+	Threads  int    `json:"threads"`
+	WlSeed   int64  `json:"wl_seed"`       // workload/machine seed
+	Ops      int    `json:"ops,omitempty"` // total operations (0 = workload default)
+	Window   uint64 `json:"window"`
 
 	Picks []uint32 `json:"-"`
 }

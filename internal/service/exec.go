@@ -117,13 +117,10 @@ func (s *Server) executeExplore(ctx context.Context, j *Job) error {
 	}
 	er := ExploreResult{
 		Key:      key,
-		Sched:    rep.Config.Spec,
+		Sched:    rep.Config.Cell.Sched,
 		Runs:     rep.Runs,
 		Commits:  rep.Commits,
 		Failures: make([]ExploreFinding, 0, len(rep.Failures)),
-	}
-	if er.Sched == "" {
-		er.Sched = "pct:3"
 	}
 	for _, f := range rep.Failures {
 		er.Failures = append(er.Failures, ExploreFinding{

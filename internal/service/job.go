@@ -25,12 +25,6 @@ const (
 	KindExplore = "explore"
 )
 
-// chaosWatchdog bounds each fault-injected cell's virtual clock (the
-// ChaosSweep default): an injected livelock must fail loudly inside the
-// simulation — where the failure is deterministic and chaos-classified as
-// transient — instead of silently eating the job's wall-clock deadline.
-const chaosWatchdog = 200_000_000
-
 // CellSpec selects one simulation cell: the wire-level mirror of
 // harness.RunConfig restricted to the serializable surface. Every field
 // is deterministic simulation input, so a normalized CellSpec plus
@@ -38,7 +32,7 @@ const chaosWatchdog = 200_000_000
 type CellSpec struct {
 	Bench     string  `json:"bench"`
 	Mode      string  `json:"mode,omitempty"`     // "" = "staggered" (see stagger.ParseMode)
-	Backend   string  `json:"backend,omitempty"`  // "" = the pre-arena runtime under Mode (see backend.Names)
+	Backend   string  `json:"backend,omitempty"`  // "" = htm for mode htm, staggered otherwise (see backend.Names)
 	Capacity  int     `json:"capacity,omitempty"` // limited backend's line capacity; 0 = its default
 	Threads   int     `json:"threads,omitempty"`  // 0 = 4
 	Seed      int64   `json:"seed,omitempty"`     // 0 = 42 (the harness default)
@@ -51,7 +45,7 @@ type CellSpec struct {
 	ChaosRate float64 `json:"chaos_rate,omitempty"`
 	ChaosSeed int64   `json:"chaos_seed,omitempty"` // 0 = Seed
 	Hardened  bool    `json:"hardened,omitempty"`
-	Watchdog  uint64  `json:"watchdog,omitempty"` // 0 = none (chaos cells: 200M)
+	Watchdog  uint64  `json:"watchdog,omitempty"` // 0 = none (chaos cells: harness.ChaosWatchdog)
 }
 
 // normalized applies the service defaults and canonicalizes the mode
@@ -99,7 +93,10 @@ func (c CellSpec) normalized() (CellSpec, stagger.Mode, error) {
 			c.ChaosSeed = c.Seed
 		}
 		if c.Watchdog == 0 {
-			c.Watchdog = chaosWatchdog
+			// An injected livelock fails inside the simulation, where the
+			// failure is deterministic and chaos-classified as transient,
+			// instead of silently eating the job's wall-clock deadline.
+			c.Watchdog = harness.ChaosWatchdog
 		}
 	} else {
 		c.ChaosSeed = 0
@@ -198,7 +195,7 @@ type JobSpec struct {
 
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	Modes      []string `json:"modes,omitempty"`    // empty = ["staggered"]
-	Backends   []string `json:"backends,omitempty"` // empty = [""] (the pre-arena runtime)
+	Backends   []string `json:"backends,omitempty"` // empty = [""] (resolved from each mode)
 	Threads    []int    `json:"threads,omitempty"`  // empty = [4]
 	Seeds      []int64  `json:"seeds,omitempty"`    // empty = [42]
 	Ops        int      `json:"ops,omitempty"`
@@ -257,26 +254,8 @@ func (spec JobSpec) plan(maxCells int) (*jobPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		ec := harness.ExploreConfig{
-			Benchmark: e.Cell.Bench,
-			Mode:      m,
-			Backend:   e.Cell.Backend,
-			Capacity:  e.Cell.Capacity,
-			Threads:   e.Cell.Threads,
-			Seed:      e.Cell.Seed,
-			TotalOps:  e.Cell.Ops,
-			Spec:      e.Sched,
-			Runs:      e.Runs,
-			Minimize:  e.Minimize,
-		}
-		if e.Cell.Hardened {
-			sc := stagger.HardenedConfig(m)
-			ec.Stagger = &sc
-		}
-		if e.Cell.ChaosRate > 0 {
-			cc := chaos.Scaled(e.Cell.ChaosRate, e.Cell.ChaosSeed)
-			ec.Chaos = &cc
-		}
+		ec := harness.ExploreConfig{Cell: runConfig(e.Cell, m), Runs: e.Runs, Minimize: e.Minimize}
+		ec.Cell.Sched = e.Sched
 		return &jobPlan{kind: kind, keys: []string{exploreKey(e)}, explore: ec}, nil
 	}
 
