@@ -96,11 +96,12 @@ func (s cellSpec) name() string {
 // matrix returns the fixed workload matrix. The full matrix covers the
 // paper's six representative benchmarks on both the baseline HTM and the
 // full staggered system at 1 and 16 threads; -quick keeps two benchmarks
-// at 1 and 4 threads so the CI smoke job finishes in seconds. The
+// at 1, 4 and 16 threads so the CI smoke job finishes in seconds. The
 // single-thread cells isolate the engine's sequential event throughput
 // (no token handoffs), which is what the cooperative engine's ≥10x gate
 // is measured on; the 4-thread cells additionally price the handoff path
-// under contention.
+// under contention, and the 16-thread cells price it at the paper's own
+// thread count, where every handoff scans sixteen cores.
 //
 // A non-empty backendName re-measures the same benchmark/thread grid
 // under that arena backend instead of the two legacy modes (the backend
@@ -113,7 +114,7 @@ func matrix(quick bool, backendName string) []cellSpec {
 	ops := 2000
 	if quick {
 		benches = []string{"list-hi", "kmeans"}
-		threads = []int{1, 4}
+		threads = []int{1, 4, 16}
 		ops = 400
 	}
 	modes := []stagger.Mode{stagger.ModeHTM, stagger.ModeStaggeredHW}

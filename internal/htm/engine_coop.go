@@ -11,7 +11,7 @@ import "iter"
 //
 // Hot path. While one core holds the token, every other core's clock is
 // frozen — other cores only advance their clocks while *they* hold the
-// token. The minimum clock among the other runnable cores is therefore a
+// token. The smallest key among the other runnable cores is therefore a
 // constant for the duration of a tenure, so it is computed once per
 // handoff (grant) and every subsequent sync by the holder is a single
 // comparison: the holder keeps the token and its event batch continues,
@@ -20,24 +20,28 @@ import "iter"
 // token tenure: a tenure's whole run of events costs one switch in and
 // one switch out, however long it is.
 //
+// Packed keys. Each core's state is one word, key[i] = clock<<keyIDBits |
+// i for a runnable core and keyDone for a finished one, so the smallest
+// key is exactly the pick rule — smallest virtual time, ties to the
+// smallest core ID — and finished cores never win. grant's scan is a
+// branch-free min over the keys: at 16 cores the cost of the old rescan
+// was branch mispredictions on its data-dependent compares, not its O(n)
+// bound, so a tournament tree, whose compares are just as branchy and
+// serially dependent, measured no faster.
+//
 // Determinism. The pick rule is identical to refEngine's: smallest
 // virtual time, ties to the smallest core ID, or the installed
 // Scheduler's choice within its window. Decision points occur in the same
 // order (start, every losing sync, every finish), so recorded schedules
 // replay bit-identically across both engines.
 type coopEngine struct {
-	time    []uint64
-	done    []bool
+	key     []uint64
 	pending int
 
-	// Fast-path state (valid while sched == nil): holder is the core that
-	// currently owns the token; othersMin/othersID are the smallest clock
-	// among the other non-done cores and the smallest core ID achieving it
-	// (othersID == -1 when no other core is runnable). Recomputed once per
-	// grant, read on every sync.
-	holder    int
-	othersMin uint64
-	othersID  int
+	// othersKey is the smallest key among the runnable cores other than
+	// the token holder (keyDone when there is none). Recomputed once per
+	// grant, read on every sync while sched == nil.
+	othersKey uint64
 
 	// sched, when non-nil, replaces the smallest-virtual-time rule with an
 	// adversarial choice among the runnable cores inside the scheduler's
@@ -64,29 +68,52 @@ type coopEngine struct {
 	chained []bool
 }
 
+// Packed-key layout: the low keyIDBits bits hold the core ID (Config
+// allows at most 32 cores), the rest the clock. A clock of 2^59 or more
+// would shift out of the key and misorder events, and core 31 at 2^59-1
+// would pack to keyDone, so sync refuses any clock at or above maxClock.
+const (
+	keyIDBits = 5
+	keyIDMask = 1<<keyIDBits - 1
+	keyDone   = ^uint64(0)
+	maxClock  = 1<<(64-keyIDBits) - 1
+)
+
+// errClockRange is the panic value sync raises for a clock outside the
+// packed-key range; RunChecked re-raises it in the caller's goroutine.
+const errClockRange = "htm: virtual clock overflow: 2^59-1 cycles is beyond the engine's packed-key range"
+
 func newCoopEngine(n int, sched Scheduler) *coopEngine {
-	return &coopEngine{
-		time:     make([]uint64, n),
-		done:     make([]bool, n),
-		pending:  n,
-		holder:   -1,
-		othersID: -1,
-		sched:    sched,
+	e := &coopEngine{
+		key:       make([]uint64, n),
+		pending:   n,
+		othersKey: keyDone,
+		sched:     sched,
 	}
+	for i := range e.key {
+		e.key[i] = uint64(i) // every core starts at clock 0
+	}
+	return e
+}
+
+// minKey returns the smallest key, keyDone when every core has finished.
+// The min builtin compiles to a conditional move, so the scan has no
+// data-dependent branch.
+func (e *coopEngine) minKey() uint64 {
+	m := keyDone
+	for _, k := range e.key {
+		m = min(m, k)
+	}
+	return m
 }
 
 // min returns the non-done core with the smallest virtual time, or -1.
 func (e *coopEngine) min() int {
-	best := -1
-	for i := range e.time {
-		if e.done[i] {
-			continue
-		}
-		if best == -1 || e.time[i] < e.time[best] {
-			best = i
-		}
+	best := e.minKey()
+	if best == keyDone {
+		return -1
 	}
-	return best
+	return int(best & keyIDMask)
 }
 
 // next returns the core to hand the token to: the minimum-time runnable
@@ -99,13 +126,14 @@ func (e *coopEngine) next() int {
 	}
 	e.cand, e.candT = e.cand[:0], e.candT[:0]
 	window := e.sched.Window()
-	for i := range e.time {
-		if e.done[i] {
+	bestT := e.key[best] >> keyIDBits
+	for i, k := range e.key {
+		if k == keyDone {
 			continue
 		}
-		if window == 0 || e.time[i] <= e.time[best]+window {
+		if t := k >> keyIDBits; window == 0 || t <= bestT+window {
 			e.cand = append(e.cand, i)
-			e.candT = append(e.candT, e.time[i])
+			e.candT = append(e.candT, t)
 		}
 	}
 	if len(e.cand) == 1 {
@@ -118,46 +146,38 @@ func (e *coopEngine) next() int {
 	return e.cand[k]
 }
 
-// grant hands the token to core id: it becomes the holder, the frozen
-// minimum over the other runnable cores is recomputed for the fast path,
-// and the engine loop is told to resume it. Callers must have chosen id
-// via next() (or the fast path's recorded othersID, which is provably the
-// same choice).
+// grant hands the token to core id: the smallest key over the other
+// runnable cores is recomputed for the fast path (the holder's own key is
+// masked to keyDone for the scan instead of skipped by a branch), and the
+// engine loop is told to resume id. Callers must have chosen id via
+// next() (or the fast path's othersKey, which is provably the same
+// choice).
 func (e *coopEngine) grant(id int) {
-	e.holder = id
-	e.othersID = -1
-	for i := range e.time {
-		if i == id || e.done[i] {
-			continue
-		}
-		if e.othersID == -1 || e.time[i] < e.othersMin {
-			e.othersMin, e.othersID = e.time[i], i
-		}
-	}
+	own := e.key[id]
+	e.key[id] = keyDone
+	e.othersKey = e.minKey()
+	e.key[id] = own
 	e.granted = id
 }
 
-// keepsToken reports whether the holder, now at time t, still wins the
-// virtual-time race against the frozen minimum of the other runnable
-// cores (ties go to the smallest core ID, matching min()'s ascending
-// scan). With no other runnable core the holder trivially keeps running.
-func (e *coopEngine) keepsToken(id int, t uint64) bool {
-	return e.othersID == -1 || t < e.othersMin || (t == e.othersMin && id < e.othersID)
-}
-
-// sync implements engine. The fast path is a single comparison against
-// the per-tenure constant; losing the race selects the winner and
-// transfers control toward it with as few coroutine switches as the
-// chain permits.
+// sync implements engine. The fast path is a single comparison of the
+// holder's new key against the per-tenure constant othersKey (ties on
+// time go to the smaller ID, which the key order encodes); losing the
+// race selects the winner and transfers control toward it with as few
+// coroutine switches as the chain permits.
 func (e *coopEngine) sync(id int, t uint64) {
-	e.time[id] = t
+	if t >= maxClock {
+		panic(errClockRange)
+	}
+	k := t<<keyIDBits | uint64(id)
+	e.key[id] = k
 	if e.sched == nil {
-		if e.keepsToken(id, t) {
+		if k < e.othersKey {
 			return
 		}
 		// Fast path lost the race: the winner is, by the tie-break,
-		// exactly the recorded other-minimum core.
-		e.grant(e.othersID)
+		// exactly the core holding the smallest other key.
+		e.grant(int(e.othersKey & keyIDMask))
 	} else {
 		next := e.next()
 		if next == id {
@@ -204,7 +224,7 @@ func (e *coopEngine) dispatch(id int) {
 // coroutine has already unwound, so control is in the run loop, which
 // observes pending == 0 and completes the simulation.
 func (e *coopEngine) coreDone(w int) {
-	e.done[w] = true
+	e.key[w] = keyDone
 	e.pending--
 	if e.pending > 0 {
 		e.grant(e.next())
@@ -238,7 +258,6 @@ func (e *coopEngine) run(m *Machine, bodies []func(*Core), panics []any) {
 					}
 				}
 				c.stats.FinalClock = c.clock
-				e.time[c.id] = c.clock
 			}()
 			body(c)
 			if c.inTx {

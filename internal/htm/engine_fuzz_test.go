@@ -8,7 +8,7 @@ import (
 )
 
 // handoffRun executes a synthetic program decoded from ops on a fresh
-// machine: cores (2..4) interleave nontransactional loads/stores, compute
+// machine: the cores interleave nontransactional loads/stores, compute
 // bursts, spin waits, and full retrying hardware transactions over two
 // shared lines. Every byte drives one step of one core (round-robin), so
 // the fuzzer controls the exact mix and phase of memory events without
@@ -60,19 +60,27 @@ func handoffRun(cores int, ops []byte, refEngine bool) (Stats, []TraceEvent, *me
 	return m.Stats(), m.Trace(), m.Mem
 }
 
-// FuzzEngineHandoff drives arbitrary NT/tx interleavings across 2-4 cores
-// through both the optimized engine (per-tenure fast-path handoff) and the
-// retained reference engine (full minimum scan at every sync) and requires
-// them to agree cycle-for-cycle: identical statistics (every clock, abort,
-// and cache counter), an identical transaction event trace, and identical
-// final memory.
+// handoffCores are the core counts the handoff differential runs at: the
+// small counts shake out tie-breaks and chain unwinding, 16 is the
+// paper's configuration, and 32 is the largest Config allows, so core IDs
+// fill every bit of the engine's packed key.
+var handoffCores = []int{2, 3, 4, 16, 32}
+
+// FuzzEngineHandoff drives arbitrary NT/tx interleavings across each of
+// handoffCores through both the optimized engine (per-tenure fast-path
+// handoff) and the retained reference engine (full minimum scan at every
+// sync) and requires them to agree cycle-for-cycle: identical statistics
+// (every clock, abort, and cache counter), an identical transaction event
+// trace, and identical final memory.
 func FuzzEngineHandoff(f *testing.F) {
 	f.Add(uint8(2), []byte{3, 3, 3, 3, 0, 1, 4, 4})
-	f.Add(uint8(3), []byte{3, 4, 3, 4, 3, 4, 2, 5, 0, 0, 1, 3, 4, 3})
-	f.Add(uint8(4), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252, 253, 254, 255})
-	f.Add(uint8(4), []byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3})
+	f.Add(uint8(0), []byte{3, 4, 3, 4, 3, 4, 2, 5, 0, 0, 1, 3, 4, 3})
+	f.Add(uint8(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252, 253, 254, 255})
+	f.Add(uint8(1), []byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3})
+	f.Add(uint8(3), []byte{3, 4, 0, 1, 2, 5, 3, 4, 3, 4, 250, 3, 3, 4, 4, 1, 0, 3, 2, 5})
+	f.Add(uint8(4), []byte{3, 3, 4, 4, 0, 1, 2, 5, 3, 4, 9, 15, 21, 27, 33, 3, 4, 3, 4, 3})
 	f.Fuzz(func(t *testing.T, coresRaw uint8, ops []byte) {
-		cores := 2 + int(coresRaw)%3
+		cores := handoffCores[int(coresRaw)%len(handoffCores)]
 		if len(ops) > 512 {
 			ops = ops[:512]
 		}
@@ -95,9 +103,10 @@ func FuzzEngineHandoff(f *testing.F) {
 // deterministic family of op mixes so the equivalence holds in plain
 // `go test` runs too, not only under the fuzzer.
 func TestEngineHandoffEquivalenceSweep(t *testing.T) {
-	for cores := 2; cores <= 4; cores++ {
+	for _, cores := range handoffCores {
 		for variant := 0; variant < 8; variant++ {
-			ops := make([]byte, 96)
+			// At least 24 steps per core, so wide machines still contend.
+			ops := make([]byte, max(96, 24*cores))
 			for i := range ops {
 				ops[i] = byte((i*7 + variant*13 + i*i*variant) % 256)
 			}

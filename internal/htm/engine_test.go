@@ -151,3 +151,53 @@ func TestRunEmptyBodies(t *testing.T) {
 		t.Fatal("empty run advanced time")
 	}
 }
+
+// TestEngineClockRangePanics: a clock that no longer fits the engine's
+// packed key (clock<<5 | core ID) must stop the run with the engine's
+// named panic, re-raised by RunChecked, instead of wrapping to a small
+// key and running ahead of its peers. 2^59-1 is covered too: for core 31
+// it would pack to the finished-core sentinel.
+func TestEngineClockRangePanics(t *testing.T) {
+	for _, clock := range []uint64{1<<59 - 1, 1<<59 + 5} {
+		const cores = 32
+		m := New(smallConfig(cores))
+		a := m.Alloc.AllocLines(1)
+		type ev struct {
+			time uint64
+			core int
+		}
+		var log []ev
+		bodies := make([]func(*Core), cores)
+		for i := range bodies {
+			bodies[i] = func(c *Core) {
+				for k := 0; k < 20; k++ {
+					if c.ID() == cores-1 && k == 10 {
+						c.SpinWait(clock-c.Now(), WaitBackoff) // must panic
+					}
+					t0 := c.Now()
+					c.NTLoad(a) // serialized at t0
+					log = append(log, ev{t0, c.ID()})
+					c.Compute(10)
+				}
+			}
+		}
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			return m.RunChecked(bodies)
+		}()
+		if got != errClockRange {
+			t.Fatalf("clock %#x: RunChecked = %v, want panic %q", clock, got, errClockRange)
+		}
+		for i := 1; i < len(log); i++ {
+			if a, b := log[i-1], log[i]; a.time > b.time {
+				t.Fatalf("clock %#x: event %d out of order: core %d @%d then core %d @%d",
+					clock, i, a.core, a.time, b.core, b.time)
+			}
+		}
+		for _, e := range log {
+			if e.core == cores-1 && e.time >= clock {
+				t.Fatalf("clock %#x: core %d ran an event at %d past the range", clock, e.core, e.time)
+			}
+		}
+	}
+}

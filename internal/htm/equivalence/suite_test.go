@@ -29,11 +29,24 @@ func suiteOps(bench string) int {
 
 const suiteThreads = 4
 
+// The suite's 16-thread slice runs at the paper's own thread count, where
+// every handoff scans a full set of packed keys, core IDs reach 15, and
+// cores finish at widely spread times, none of which the 4-thread matrix
+// exercises. It runs in full mode only: one seed, the contended
+// workloads, and the plain, staggered and PCT variants.
+const t16Seed = 42
+
+var (
+	t16Benches  = []string{"list-hi", "tsp", "memcached", "intruder"}
+	t16Variants = map[string]bool{"plain": true, "staggered": true, "pct": true}
+)
+
 // TestEngineEquivalenceSuite is the differential suite of ISSUE 9: every
 // workload × seed × variant must produce byte-identical traces, metrics
 // report JSON, statistics, oracle verdicts, and workload verification on
 // the cooperative engine and the reference engine. In -short mode one
-// seed is swept; the full matrix runs in CI via `make equivalence`.
+// seed is swept; the full matrix, plus the 16-thread slice, runs in CI
+// via `make equivalence`.
 func TestEngineEquivalenceSuite(t *testing.T) {
 	seeds := suiteSeeds
 	if testing.Short() {
@@ -50,6 +63,23 @@ func TestEngineEquivalenceSuite(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	for _, bench := range t16Benches {
+		for _, v := range Variants() {
+			if !t16Variants[v.Name] {
+				continue
+			}
+			name := fmt.Sprintf("%s/seed%d/t16/%s", bench, t16Seed, v.Name)
+			t.Run(name, func(t *testing.T) {
+				rc := Cell(bench, t16Seed, 16, suiteOps(bench), v)
+				if err := Check(name, rc); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 }

@@ -147,18 +147,21 @@ func BenchmarkHotStatsAdd(b *testing.B) {
 // extra events allocate, and the budget allows under 2 allocations per
 // hundred events (map growth amortization, nothing else).
 func TestHotPathSteadyStateAllocs(t *testing.T) {
-	measure := func(eventsPerCore int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			handoffStorm(4, eventsPerCore, false)
-		})
-	}
-	short, long := measure(500), measure(4000)
 	// The cooperative engine's target is exactly zero steady-state
-	// allocations: once the flat tables reach size, adding 14,000 more
-	// events (handoffs included) must not allocate a single object.
-	if long != short {
-		t.Fatalf("steady-state allocations: %.0f extra over %d extra events (short=%.0f long=%.0f), want 0",
-			long-short, 4*(4000-500), short, long)
+	// allocations: once the flat tables reach size, adding 3,500 more
+	// events per core (handoffs included) must not allocate a single
+	// object, at the paper's 16 cores and at the 32-core maximum too.
+	for _, cores := range []int{4, 16, 32} {
+		measure := func(eventsPerCore int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				handoffStorm(cores, eventsPerCore, false)
+			})
+		}
+		short, long := measure(500), measure(4000)
+		if long != short {
+			t.Fatalf("%d cores: steady-state allocations: %.0f extra over %d extra events (short=%.0f long=%.0f), want 0",
+				cores, long-short, cores*(4000-500), short, long)
+		}
 	}
 
 	measureTx := func(txPerCore int) float64 {

@@ -28,33 +28,47 @@ const pageBits = 12
 
 const pageWords = 1 << (pageBits - 3)
 
+// pageSlots is the number of entries in Memory's page cache, a power of
+// two. Sixteen simulated cores interleave their accesses over different
+// pages, so a single most-recent-page entry misses on nearly every access;
+// a direct-mapped cache indexed by the page number's low bits keeps each
+// core's working pages resident.
+const pageSlots = 64
+
+type page = [pageWords]uint64
+
+// pageSlot is one page-cache entry; a nil page marks it empty.
+type pageSlot struct {
+	key  Addr
+	page *page
+}
+
 // Memory is a sparse simulated physical memory. It is not safe for
 // concurrent use; the simulation engine serializes all accesses.
 type Memory struct {
-	pages map[Addr][]uint64
-	// lastKey/lastPage cache the most recently touched page: simulated
-	// accesses are strongly page-local, so most loads and stores skip the
-	// page-map lookup entirely. lastPage is nil until the first access.
-	lastKey  Addr
-	lastPage []uint64
+	pages map[Addr]*page
+	// cache holds recently touched pages in front of the pages map, which
+	// stays the backing store: most loads and stores skip the map lookup.
+	cache [pageSlots]pageSlot
 }
 
 // New returns an empty memory.
 func New() *Memory {
-	return &Memory{pages: make(map[Addr][]uint64)}
+	return &Memory{pages: make(map[Addr]*page)}
 }
 
-func (m *Memory) page(a Addr) []uint64 {
+func (m *Memory) page(a Addr) *page {
 	key := a >> pageBits
-	if m.lastPage != nil && key == m.lastKey {
-		return m.lastPage
+	s := &m.cache[key&(pageSlots-1)]
+	if s.key == key && s.page != nil {
+		return s.page
 	}
 	p, ok := m.pages[key]
 	if !ok {
-		p = make([]uint64, pageWords)
+		p = new(page)
 		m.pages[key] = p
 	}
-	m.lastKey, m.lastPage = key, p
+	s.key, s.page = key, p
 	return p
 }
 
@@ -77,11 +91,10 @@ func (m *Memory) Footprint() int { return len(m.pages) }
 // contents. Oracles snapshot the post-setup state and replay committed
 // effects against the copy.
 func (m *Memory) Snapshot() *Memory {
-	s := &Memory{pages: make(map[Addr][]uint64, len(m.pages))}
+	s := &Memory{pages: make(map[Addr]*page, len(m.pages))}
 	for key, p := range m.pages {
-		cp := make([]uint64, len(p))
-		copy(cp, p)
-		s.pages[key] = cp
+		cp := *p
+		s.pages[key] = &cp
 	}
 	return s
 }
@@ -105,15 +118,15 @@ func (m *Memory) Diff(o *Memory, max int) []Addr {
 			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
 		}
 	}
-	var zero [pageWords]uint64
+	var zero page
 	var out []Addr
 	for _, k := range ordered {
 		a, b := m.pages[k], o.pages[k]
 		if a == nil {
-			a = zero[:]
+			a = &zero
 		}
 		if b == nil {
-			b = zero[:]
+			b = &zero
 		}
 		for w := 0; w < pageWords; w++ {
 			if a[w] != b[w] {

@@ -175,3 +175,89 @@ func TestNewAllocatorRejectsBadBase(t *testing.T) {
 		}()
 	}
 }
+
+// pageAddr returns the address of word w on simulated page number p.
+func pageAddr(p, w uint64) Addr { return Addr(p<<pageBits | w*WordSize) }
+
+// TestPageCacheSlotCollision alternates between two pages that share a
+// page-cache slot (page numbers k and k+pageSlots): each access evicts
+// the other's entry, and neither may ever see the other's words.
+func TestPageCacheSlotCollision(t *testing.T) {
+	m := New()
+	const k = 5
+	for i := uint64(0); i < 2*pageWords; i++ {
+		m.Store(pageAddr(k, i%pageWords), i)
+		m.Store(pageAddr(k+pageSlots, i%pageWords), ^i)
+	}
+	for w := uint64(0); w < pageWords; w++ {
+		last := pageWords + w // the second pass wrote every word last
+		if got := m.Load(pageAddr(k, w)); got != last {
+			t.Fatalf("page %d word %d = %d, want %d", k, w, got, last)
+		}
+		if got := m.Load(pageAddr(k+pageSlots, w)); got != ^last {
+			t.Fatalf("page %d word %d = %#x, want %#x", k+pageSlots, w, got, ^last)
+		}
+	}
+	if m.Footprint() != 2 {
+		t.Fatalf("footprint = %d, want 2", m.Footprint())
+	}
+}
+
+// TestPageCacheManyLivePages keeps more pages live than the cache has
+// slots, touched in a scattered order, and reads every word back.
+func TestPageCacheManyLivePages(t *testing.T) {
+	const pages = 5*pageSlots + 3
+	m := New()
+	val := func(p, w uint64) uint64 { return p*1_000_003 + w + 1 }
+	for w := uint64(0); w < pageWords; w += 7 {
+		for i := uint64(0); i < pages; i++ {
+			p := i * 37 % pages // a permutation: 37 and pages are coprime
+			m.Store(pageAddr(p, w), val(p, w))
+		}
+	}
+	if m.Footprint() != pages {
+		t.Fatalf("footprint = %d, want %d", m.Footprint(), pages)
+	}
+	for p := uint64(pages); p > 0; p-- {
+		for w := uint64(0); w < pageWords; w++ {
+			want := uint64(0)
+			if w%7 == 0 {
+				want = val(p-1, w)
+			}
+			if got := m.Load(pageAddr(p-1, w)); got != want {
+				t.Fatalf("page %d word %d = %d, want %d", p-1, w, got, want)
+			}
+		}
+	}
+}
+
+// TestSnapshotDiffWithWarmCache snapshots a memory whose page cache is
+// warm: later writes through either copy's cache must not reach the
+// other, and Diff must report exactly the words written since.
+func TestSnapshotDiffWithWarmCache(t *testing.T) {
+	m := New()
+	for p := uint64(0); p < 2*pageSlots; p++ {
+		m.Store(pageAddr(p, 0), p+1)
+	}
+	s := m.Snapshot()
+	m.Store(pageAddr(3, 0), 99)            // cached page
+	m.Store(pageAddr(3+pageSlots, 1), 77)  // cached page, new word
+	m.Store(pageAddr(10*pageSlots, 1), 55) // new page
+	s.Store(pageAddr(4+pageSlots, 0), 66)  // snapshot side
+	if got := s.Load(pageAddr(3, 0)); got != 4 {
+		t.Fatalf("snapshot saw a later write: %d, want 4", got)
+	}
+	if got := m.Load(pageAddr(4+pageSlots, 0)); got != pageSlots+5 {
+		t.Fatalf("memory saw a snapshot write: %d, want %d", got, pageSlots+5)
+	}
+	want := []Addr{pageAddr(3, 0), pageAddr(3+pageSlots, 1), pageAddr(4+pageSlots, 0), pageAddr(10*pageSlots, 1)}
+	got := m.Diff(s, 10)
+	if len(got) != len(want) {
+		t.Fatalf("Diff = %#x, want %#x", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Diff = %#x, want %#x", got, want)
+		}
+	}
+}
