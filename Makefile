@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: help ci vet verify-static build test smoke explore-smoke paper \
 	race-equivalence bench bench-full bench-baseline docs-verify docs \
-	daemon-smoke crash-smoke perfbench-test
+	daemon-smoke crash-smoke perfbench-test paper-identical
 
 # help lists every target with its one-line purpose (the `##` comment on
 # the target line). Run `make help` when lost.
@@ -15,10 +15,11 @@ help:
 # bounded schedule-exploration smoke (adversarial scheduler + oracle),
 # the IR-level static verification of every workload, the engine
 # differential suite (cooperative vs reference, byte-identical, -race),
-# the race-mode parallel-sweep equivalence suite, the daemon lifecycle
-# smoke, the crash-recovery harness, the generated-docs drift check, and
-# the benchmark module's tests.
-ci: vet build test smoke explore-smoke verify-static conflict-verify equivalence race-equivalence daemon-smoke crash-smoke docs-verify perfbench-test ## full CI gate (all of the below)
+# the race-mode parallel-sweep equivalence suite, the paper-output
+# worker-count identity check, the daemon lifecycle smoke, the
+# crash-recovery harness, the generated-docs drift check, and the
+# benchmark module's tests.
+ci: vet build test smoke explore-smoke verify-static conflict-verify equivalence race-equivalence paper-identical daemon-smoke crash-smoke docs-verify perfbench-test ## full CI gate (all of the below)
 
 # vet layers three static gates: formatting, the standard go vet, and
 # the repo's own staggervet analyzers (determinism, ntstore, siteattr,
@@ -106,10 +107,24 @@ equivalence: ## cooperative-vs-reference engine differential suite under -race
 
 race-equivalence: ## determinism-equivalence + service lifecycle under -race
 	$(GO) test -race ./internal/harness -count=1 \
-		-run 'TestDeterminism|TestTableOutputIdentical|TestChaosSweepIdentical|TestExploreIdentical|TestCacheShared|TestRunAllOrdering|TestRunCtxCancel|TestRunAllCancel|TestRunAllContained'
+		-run 'TestDeterminism|TestTableOutputIdentical|TestRunVerified|TestChaosSweepIdentical|TestExploreIdentical|TestCacheShared|TestRunAllOrdering|TestRunCtxCancel|TestRunAllCancel|TestRunAllContained'
 	$(GO) test -race ./internal/service -count=1 \
 		-run 'TestDrain|TestCancel|TestCrashRestart|TestBoot|TestResumed|TestIdempotency|TestSubmitRejected|TestCleanShutdown|TestMetricsExposeJournal'
 	$(GO) test -race ./internal/journal ./internal/vfs ./internal/chaos ./internal/store -count=1
+
+# paper-identical regenerates the paper's evaluation at -workers 1 and
+# -workers 4 and byte-compares the two: the default run (every table,
+# figure and the headline claims), then the lazy-TM and list-hi scaling
+# extensions. Any difference is a determinism bug in the parallel sweep.
+paper-identical: ## cmd/paper output byte-identical at -workers 1 and 4
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o $$tmp/paper ./cmd/paper && \
+	for args in "" "-lazy -scaling list-hi"; do \
+		echo "paper $${args:-(default)}: -workers 1 vs -workers 4"; \
+		$$tmp/paper -workers 1 $$args > $$tmp/w1 && \
+		$$tmp/paper -workers 4 $$args > $$tmp/w4 && \
+		cmp $$tmp/w1 $$tmp/w4 || exit 1; \
+	done
 
 # docs-verify regenerates the generated documentation sections — the
 # EXPERIMENTS.md abort-attribution appendix, its cross-backend arena

@@ -31,6 +31,11 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(),
 		"max concurrent simulation runs (1 = sequential; output is identical either way)")
 	flag.Parse()
+	if *table < 0 || *table > 4 || (*figure != 0 && (*figure < 7 || *figure > 8)) {
+		fmt.Fprintln(os.Stderr, "paper: -table must be 1-4 and -figure 7 or 8")
+		flag.Usage()
+		os.Exit(2)
+	}
 	harness.SetWorkers(*workers)
 
 	all := *table == 0 && *figure == 0 && !*claims && !*lazy && *scaling == "" && *csvDir == ""

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 
 	"repro/internal/anchor"
@@ -13,26 +12,24 @@ import (
 	"repro/internal/workloads"
 )
 
-// table1Benchmarks are the cells of EXPERIMENTS.md Table 1: baseline
-// HTM at 16 threads, default operation counts, seed 42. The appendix
-// regenerates from exactly these runs so its attribution matches the
-// table it annotates.
-var table1Benchmarks = []string{"list-hi", "tsp", "memcached", "intruder", "kmeans", "vacation"}
-
-// generateAppendix simulates the Table 1 cells and renders the
-// abort-attribution appendix: a per-workload cycle-breakdown table and
-// the top-N conflicting anchors per workload.
+// generateAppendix simulates the Table 1 cells (baseline HTM at 16
+// threads, default operation counts, seed 42 — the benchmarks
+// harness.Table1 reports, so the attribution matches the table it
+// annotates) and renders the abort-attribution appendix: a per-workload
+// cycle-breakdown table and the top-N conflicting anchors per workload.
 func generateAppendix(topN int) ([]byte, error) {
-	cfgs := make([]harness.RunConfig, len(table1Benchmarks))
-	for i, b := range table1Benchmarks {
-		cfgs[i] = harness.RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: 16}
+	benches := harness.Table1Benchmarks()
+	cfgs := make([]harness.RunConfig, len(benches))
+	for i, b := range benches {
+		cfgs[i] = harness.RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: harness.PaperThreads}
 	}
-	reps := make([]*obs.Report, len(cfgs))
-	for i, o := range harness.RunAll(context.Background(), cfgs, 0) {
-		if o.Err != nil {
-			return nil, fmt.Errorf("%s: %w", cfgs[i].Benchmark, o.Err)
-		}
-		reps[i] = obs.Snapshot(o.Res)
+	res, err := harness.RunVerified(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	reps := make([]*obs.Report, len(res))
+	for i, r := range res {
+		reps[i] = obs.Snapshot(r)
 	}
 
 	var b bytes.Buffer
@@ -62,7 +59,7 @@ func generateAppendix(topN int) ([]byte, error) {
 		}
 		c := rep.Cycles
 		fmt.Fprintf(&b, "| %s | %s | %s | %s | %s | %s | %d | %.2f |\n",
-			table1Benchmarks[i], pct(c.Useful), pct(c.Wasted), pct(c.LockWait),
+			benches[i], pct(c.Useful), pct(c.Wasted), pct(c.LockWait),
 			pct(c.Backoff), pct(c.GlobalWait), c.NTOverhead, rep.WastedOverUseful)
 	}
 
@@ -82,11 +79,11 @@ func generateAppendix(topN int) ([]byte, error) {
 			pcs = pcs[:topN]
 		}
 		if len(pcs) == 0 {
-			fmt.Fprintf(&b, "| %s | — | no conflict aborts | 0 |\n", table1Benchmarks[i])
+			fmt.Fprintf(&b, "| %s | — | no conflict aborts | 0 |\n", benches[i])
 			continue
 		}
 		for j, p := range pcs {
-			name := table1Benchmarks[i]
+			name := benches[i]
 			if j > 0 {
 				name = ""
 			}

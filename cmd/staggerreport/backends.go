@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 
 	"repro/internal/backend"
@@ -28,18 +27,13 @@ func generateBackendArena() ([]byte, error) {
 			})
 		}
 	}
-	reps := make([]*obs.Report, len(cfgs))
-	for i, o := range harness.RunAll(context.Background(), cfgs, 0) {
-		if o.Err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", cfgs[i].Benchmark, cfgs[i].Backend, o.Err)
-		}
-		if o.Res.VerifyErr != nil {
-			return nil, fmt.Errorf("%s/%s: verify: %w", cfgs[i].Benchmark, cfgs[i].Backend, o.Res.VerifyErr)
-		}
-		if o.Res.OracleErr != nil {
-			return nil, fmt.Errorf("%s/%s: oracle: %w", cfgs[i].Benchmark, cfgs[i].Backend, o.Res.OracleErr)
-		}
-		reps[i] = obs.Snapshot(o.Res)
+	res, err := harness.RunVerified(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	reps := make([]*obs.Report, len(res))
+	for i, r := range res {
+		reps[i] = obs.Snapshot(r)
 	}
 
 	var b bytes.Buffer

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -219,20 +220,76 @@ func TestChaosSweepRuns(t *testing.T) {
 }
 
 // TestRunVerifiedRejectsInvariantFailure: the table/figure generators
-// must refuse a result whose workload verification failed, instead of
-// silently folding a corrupted run into the paper's numbers.
+// must refuse a result whose workload verification (or, on an oracle
+// cell, serializability check) failed, instead of silently folding a
+// corrupted run into the paper's numbers; the error reported is the
+// first failing cell's in input order, and a clean sweep returns its
+// results in input order, at any worker count.
 func TestRunVerifiedRejectsInvariantFailure(t *testing.T) {
-	ClearCache()
-	defer ClearCache()
-	rc := RunConfig{Benchmark: "kmeans", Mode: stagger.ModeHTM, Threads: 2, Seed: 7, TotalOps: 100}
-	key := cacheKey{schema: CacheSchema, bench: rc.Benchmark, mode: int(rc.Mode), threads: rc.Threads,
-		seed: rc.Seed, totalOps: rc.TotalOps}
-	cacheMu.Lock()
-	cache[key] = &Result{Config: rc, VerifyErr: errors.New("poisoned invariant")}
-	cacheMu.Unlock()
-	_, err := runVerified(rc)
-	if err == nil || !strings.Contains(err.Error(), "verify failed") {
-		t.Fatalf("runVerified returned %v, want verify failure", err)
+	cell := func(bench string, threads int) RunConfig {
+		return RunConfig{Benchmark: bench, Mode: stagger.ModeHTM, Threads: threads, Seed: 7, TotalOps: 100}
+	}
+	oracle := cell("kmeans", 2)
+	oracle.Oracle = true
+	cases := []struct {
+		name    string
+		cells   []RunConfig
+		poison  map[int]*Result // cache entries planted before the sweep
+		wantErr string          // "" = must succeed
+	}{
+		{
+			name:  "first verify failure wins",
+			cells: []RunConfig{cell("list-hi", 2), cell("kmeans", 2), cell("ssca2", 2), cell("tsp", 2)},
+			poison: map[int]*Result{
+				1: {VerifyErr: errors.New("poisoned kmeans")},
+				3: {VerifyErr: errors.New("poisoned tsp")},
+			},
+			wantErr: "kmeans (HTM, 2 threads): verify failed: poisoned kmeans",
+		},
+		{
+			name:    "oracle failure rejected",
+			cells:   []RunConfig{cell("list-hi", 2), oracle},
+			poison:  map[int]*Result{1: {OracleErr: errors.New("poisoned history")}},
+			wantErr: "oracle: poisoned history",
+		},
+		{
+			name:  "clean sweep in input order",
+			cells: []RunConfig{cell("ssca2", 2), cell("list-hi", 1), cell("kmeans", 4), oracle},
+		},
+	}
+	for _, workers := range []int{1, 4} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/workers%d", tc.name, workers), func(t *testing.T) {
+				withWorkers(t, workers, func() {
+					for i, res := range tc.poison {
+						key, _ := cacheableKey(tc.cells[i])
+						res.Config = tc.cells[i]
+						cacheMu.Lock()
+						cache[key] = res
+						cacheMu.Unlock()
+					}
+					got, err := RunVerified(tc.cells)
+					if tc.wantErr != "" {
+						if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+							t.Fatalf("RunVerified returned %v, want %q", err, tc.wantErr)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != len(tc.cells) {
+						t.Fatalf("%d results for %d cells", len(got), len(tc.cells))
+					}
+					for i, r := range got {
+						if r.Config.Benchmark != tc.cells[i].Benchmark || r.Config.Threads != tc.cells[i].Threads {
+							t.Fatalf("result %d is %s/%d threads, want %s/%d threads", i,
+								r.Config.Benchmark, r.Config.Threads, tc.cells[i].Benchmark, tc.cells[i].Threads)
+						}
+					}
+				})
+			})
+		}
 	}
 }
 

@@ -189,37 +189,37 @@ func runAllOrderedOpt(ctx context.Context, cfgs []RunConfig, workers int, contai
 	return derr
 }
 
-// warm primes the memoization cache for the given cells in parallel.
-// Generators call it before their sequential assembly loop: with the
-// cache hot, assembly is pure formatting, so output bytes are identical
-// to a fully sequential run by construction. Cells the cache would
-// bypass, duplicates, and already-cached cells are skipped; errors are
-// ignored here because the assembly loop re-encounters them
-// deterministically (Run is a pure function of its config) and reports
-// them exactly as a sequential sweep would. With workers == 1 warm is a
-// no-op: execution stays on the historical fully-sequential path.
-func warm(cfgs []RunConfig) {
-	workers := Workers()
-	if workers <= 1 {
-		return
-	}
-	seen := make(map[cacheKey]bool, len(cfgs))
-	var todo []RunConfig
-	for _, rc := range cfgs {
-		key, ok := cacheableKey(rc)
-		if !ok || seen[key] {
-			continue
+// RunVerified runs every cell through the memoization cache at
+// Workers() and returns the results in input order. A failed cell is an
+// error, never a data point: a run error, a workload VerifyErr, or — on a
+// cell with Oracle set — an OracleErr. The first failure in input order
+// is returned and the cells not yet started are cancelled, so the error
+// does not depend on the worker count. Every table and figure generator
+// goes through it, so a correctness bug cannot silently become a
+// (meaningless) performance number.
+func RunVerified(cells []RunConfig) ([]*Result, error) {
+	out := make([]*Result, len(cells))
+	err := runAllOrdered(context.Background(), cells, Workers(), func(i int, o RunOutcome) error {
+		rc := cells[i]
+		system := rc.Backend
+		if system == "" {
+			system = rc.Mode.String()
 		}
-		seen[key] = true
-		cacheMu.Lock()
-		_, hit := cache[key]
-		cacheMu.Unlock()
-		if !hit {
-			todo = append(todo, rc)
+		switch {
+		case o.Err != nil:
+			return o.Err
+		case o.Res.VerifyErr != nil:
+			return fmt.Errorf("harness: %s (%s, %d threads): verify failed: %w",
+				rc.Benchmark, system, rc.Threads, o.Res.VerifyErr)
+		case rc.Oracle && o.Res.OracleErr != nil:
+			return fmt.Errorf("harness: %s (%s, %d threads): oracle: %w",
+				rc.Benchmark, system, rc.Threads, o.Res.OracleErr)
 		}
+		out[i] = o.Res
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(todo) == 0 {
-		return
-	}
-	RunAll(context.Background(), todo, workers)
+	return out, nil
 }

@@ -68,7 +68,7 @@ func TestDeterminismEquivalenceEveryWorkload(t *testing.T) {
 }
 
 // TestTableOutputIdenticalAcrossWorkers regenerates a full table through
-// the warm-then-assemble path at both worker counts and compares the
+// its RunVerified sweep at both worker counts and compares the
 // rendered bytes, pinning the tentpole guarantee end to end: the text a
 // user sees is identical however many workers simulated it.
 func TestTableOutputIdenticalAcrossWorkers(t *testing.T) {

@@ -40,35 +40,67 @@ var table1Sources = map[string]string{
 	"vacation":  "red-black trees",
 }
 
-// table1Benches is Table 1's row order.
-var table1Benches = []string{"list-hi", "tsp", "memcached", "intruder", "kmeans", "vacation"}
+// Table1Benchmarks returns Table 1's six representative benchmarks in
+// row order (a fresh slice each call).
+func Table1Benchmarks() []string {
+	return []string{"list-hi", "tsp", "memcached", "intruder", "kmeans", "vacation"}
+}
+
+// Cell shapes the generators share. A shape is a cell without its
+// benchmark and seed; grid fills those in.
+var (
+	htm1   = RunConfig{Mode: stagger.ModeHTM, Threads: 1}
+	htm16  = RunConfig{Mode: stagger.ModeHTM, Threads: PaperThreads}
+	stag1  = RunConfig{Mode: stagger.ModeStaggeredHW, Threads: 1}
+	stag16 = RunConfig{Mode: stagger.ModeStaggeredHW, Threads: PaperThreads}
+)
+
+// grid runs one cell per shape for each benchmark in turn, all at seed,
+// as a single RunVerified sweep, and returns each benchmark's results in
+// shape order. Listing benchmarks outermost keeps the cells in the order
+// a row-by-row assembly reads them, so the first failing cell is the one
+// reported.
+func grid(benches []string, seed int64, shapes ...RunConfig) ([][]*Result, error) {
+	var cells []RunConfig
+	for _, b := range benches {
+		for _, s := range shapes {
+			s.Benchmark, s.Seed = b, seed
+			cells = append(cells, s)
+		}
+	}
+	res, err := RunVerified(cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]*Result, len(benches))
+	for i := range rows {
+		rows[i] = res[i*len(shapes) : (i+1)*len(shapes)]
+	}
+	return rows, nil
+}
+
+// speedup is a's makespan over b's: b's speedup relative to a.
+func speedup(a, b *Result) float64 { return float64(a.Makespan()) / float64(b.Makespan()) }
 
 // Table1 characterizes baseline-HTM contention for the paper's six
 // representative benchmarks.
 func Table1(seed int64) ([]Table1Row, error) {
-	var cells []RunConfig
-	for _, b := range table1Benches {
-		cells = append(cells,
-			RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: 1, Seed: seed},
-			RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed})
+	benches := Table1Benchmarks()
+	rs, err := grid(benches, seed, htm1, htm16)
+	if err != nil {
+		return nil, err
 	}
-	warm(cells)
 	var rows []Table1Row
-	for _, b := range table1Benches {
-		s, res, err := speedupCached(RunConfig{
-			Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed,
-		})
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range benches {
+		seq, par := rs[i][0], rs[i][1]
 		rows = append(rows, Table1Row{
 			Bench:  b,
-			S:      s,
-			PctI:   res.Stats.IrrevocableFraction(),
-			WU:     res.WastedOverUseful(),
+			S:      speedup(seq, par),
+			PctI:   par.Stats.IrrevocableFraction(),
+			WU:     par.WastedOverUseful(),
 			Source: table1Sources[b],
-			LA:     res.LA,
-			LP:     res.LP,
+			LA:     par.LA,
+			LP:     par.LP,
 		})
 	}
 	return rows, nil
@@ -119,36 +151,20 @@ var table3Benches = []string{"genome", "intruder", "kmeans", "labyrinth",
 
 // Table3 measures instrumentation overhead and accuracy.
 func Table3(seed int64) ([]Table3Row, error) {
-	var cells []RunConfig
-	for _, b := range table3Benches {
-		cells = append(cells,
-			RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: 1, Seed: seed},
-			RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: 1, Seed: seed},
-			RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: PaperThreads, Seed: seed})
+	rs, err := grid(table3Benches, seed, htm1, stag1, stag16)
+	if err != nil {
+		return nil, err
 	}
-	warm(cells)
 	var rows []Table3Row
-	for _, b := range table3Benches {
-		base1, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: 1, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		inst1, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: 1, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		inst16, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: PaperThreads, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		inc := float64(inst1.Makespan())/float64(base1.Makespan()) - 1
+	for i, b := range table3Benches {
+		base1, inst1, inst16 := rs[i][0], rs[i][1], rs[i][2]
 		rows = append(rows, Table3Row{
 			Bench:         b,
 			LdSt:          inst1.StaticAccesses,
 			Anchors:       inst1.StaticAnchors,
 			UopsPerTxn:    inst1.UopsPerTxn(),
 			AnchorsPerTxn: inst1.AnchorsPerTxn(),
-			ExecTimeInc:   inc,
+			ExecTimeInc:   speedup(inst1, base1) - 1,
 			Accuracy:      inst16.Metrics.Accuracy(),
 		})
 	}
@@ -185,32 +201,25 @@ type Table4Row struct {
 
 // Table4 characterizes every benchmark on the baseline HTM.
 func Table4(seed int64) ([]Table4Row, error) {
-	var cells []RunConfig
-	for _, b := range workloads.Names() {
-		cells = append(cells,
-			RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: 1, Seed: seed},
-			RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed})
+	benches := workloads.Names()
+	rs, err := grid(benches, seed, htm1, htm16)
+	if err != nil {
+		return nil, err
 	}
-	warm(cells)
 	var rows []Table4Row
-	for _, b := range workloads.Names() {
+	for i, b := range benches {
 		w, err := workloads.Get(b)
 		if err != nil {
 			return nil, err
 		}
-		s, res, err := speedupCached(RunConfig{
-			Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed,
-		})
-		if err != nil {
-			return nil, err
-		}
+		seq, par := rs[i][0], rs[i][1]
 		rows = append(rows, Table4Row{
 			Bench:       b,
 			Description: w.Description,
 			ABs:         len(w.Mod.Atomics),
-			PctTM:       res.TMFraction(),
-			S:           s,
-			AbtsPerC:    res.AbortsPerCommit(),
+			PctTM:       par.TMFraction(),
+			S:           speedup(seq, par),
+			AbtsPerC:    par.AbortsPerCommit(),
 			Contention:  w.Contention,
 		})
 	}
@@ -242,36 +251,22 @@ type Figure7Row struct {
 
 // Figure7 regenerates the performance comparison.
 func Figure7(seed int64) ([]Figure7Row, error) {
-	var cells []RunConfig
-	for _, b := range workloads.Names() {
-		for _, m := range []stagger.Mode{stagger.ModeHTM, stagger.ModeAddrOnly, stagger.ModeStaggeredSW, stagger.ModeStaggeredHW} {
-			cells = append(cells, RunConfig{Benchmark: b, Mode: m, Threads: PaperThreads, Seed: seed})
-		}
+	benches := workloads.Names()
+	rs, err := grid(benches, seed, htm16, RunConfig{Mode: stagger.ModeAddrOnly, Threads: PaperThreads},
+		RunConfig{Mode: stagger.ModeStaggeredSW, Threads: PaperThreads}, stag16)
+	if err != nil {
+		return nil, err
 	}
-	warm(cells)
 	var rows []Figure7Row
-	for _, b := range workloads.Names() {
-		base, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		row := Figure7Row{Bench: b, HTM: 1.0}
-		for _, m := range []stagger.Mode{stagger.ModeAddrOnly, stagger.ModeStaggeredSW, stagger.ModeStaggeredHW} {
-			res, err := runVerified(RunConfig{Benchmark: b, Mode: m, Threads: PaperThreads, Seed: seed})
-			if err != nil {
-				return nil, err
-			}
-			norm := float64(base.Makespan()) / float64(res.Makespan())
-			switch m {
-			case stagger.ModeAddrOnly:
-				row.AddrOnly = norm
-			case stagger.ModeStaggeredSW:
-				row.StagSW = norm
-			case stagger.ModeStaggeredHW:
-				row.StagHW = norm
-			}
-		}
-		rows = append(rows, row)
+	for i, b := range benches {
+		base := rs[i][0]
+		rows = append(rows, Figure7Row{
+			Bench:    b,
+			HTM:      1.0,
+			AddrOnly: speedup(base, rs[i][1]),
+			StagSW:   speedup(base, rs[i][2]),
+			StagHW:   speedup(base, rs[i][3]),
+		})
 	}
 	return rows, nil
 }
@@ -316,23 +311,14 @@ type Figure8Row struct {
 
 // Figure8 regenerates the abort/wasted-cycle comparison.
 func Figure8(seed int64) ([]Figure8Row, error) {
-	var cells []RunConfig
-	for _, b := range workloads.Names() {
-		cells = append(cells,
-			RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed},
-			RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: PaperThreads, Seed: seed})
+	benches := workloads.Names()
+	rs, err := grid(benches, seed, htm16, stag16)
+	if err != nil {
+		return nil, err
 	}
-	warm(cells)
 	var rows []Figure8Row
-	for _, b := range workloads.Names() {
-		base, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		stag, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: PaperThreads, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range benches {
+		base, stag := rs[i][0], rs[i][1]
 		rows = append(rows, Figure8Row{
 			Bench:                b,
 			HTMAbortsPerCommit:   base.AbortsPerCommit(),
@@ -436,38 +422,6 @@ func FormatClaims(cs *ClaimsSummary) string {
 	return b.String()
 }
 
-// speedupCached is Speedup over runVerified.
-func speedupCached(rc RunConfig) (float64, *Result, error) {
-	seq := rc
-	seq.Mode = stagger.ModeHTM
-	seq.Threads = 1
-	seqRes, err := runVerified(seq)
-	if err != nil {
-		return 0, nil, err
-	}
-	parRes, err := runVerified(rc)
-	if err != nil {
-		return 0, nil, err
-	}
-	return float64(seqRes.Makespan()) / float64(parRes.Makespan()), parRes, nil
-}
-
-// runVerified is RunCached plus invariant enforcement: a run whose
-// workload Verify failed is an error, never a data point. Every table and
-// figure generator goes through it so a correctness bug cannot silently
-// become a (meaningless) performance number.
-func runVerified(rc RunConfig) (*Result, error) {
-	res, err := RunCached(rc)
-	if err != nil {
-		return nil, err
-	}
-	if res.VerifyErr != nil {
-		return nil, fmt.Errorf("harness: %s (%s, %d threads): verify failed: %w",
-			rc.Benchmark, rc.Mode, rc.Threads, res.VerifyErr)
-	}
-	return res, nil
-}
-
 // LazyRow compares eager and lazy conflict detection for one benchmark:
 // baseline speedups and the staggered improvement on each substrate. The
 // paper's conclusion proposes extending the simulations to lazy TM
@@ -486,41 +440,27 @@ type LazyRow struct {
 // guard).
 func FigureLazy(seed int64) ([]LazyRow, error) {
 	lazyBenches := []string{"intruder", "kmeans", "list-hi", "memcached", "tsp", "vacation"}
-	var cells []RunConfig
-	for _, b := range lazyBenches {
-		for _, lazy := range []bool{false, true} {
-			cells = append(cells,
-				RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: 1, Seed: seed, Lazy: lazy},
-				RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed, Lazy: lazy},
-				RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: PaperThreads, Seed: seed, Lazy: lazy})
+	var shapes []RunConfig
+	for _, lazy := range []bool{false, true} {
+		for _, s := range []RunConfig{htm1, htm16, stag16} {
+			s.Lazy = lazy
+			shapes = append(shapes, s)
 		}
 	}
-	warm(cells)
+	rs, err := grid(lazyBenches, seed, shapes...)
+	if err != nil {
+		return nil, err
+	}
 	var rows []LazyRow
-	for _, b := range lazyBenches {
-		row := LazyRow{Bench: b}
-		for _, lazy := range []bool{false, true} {
-			seq, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: 1, Seed: seed, Lazy: lazy})
-			if err != nil {
-				return nil, err
-			}
-			base, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed, Lazy: lazy})
-			if err != nil {
-				return nil, err
-			}
-			stag, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: PaperThreads, Seed: seed, Lazy: lazy})
-			if err != nil {
-				return nil, err
-			}
-			s := float64(seq.Makespan()) / float64(base.Makespan())
-			n := float64(base.Makespan()) / float64(stag.Makespan())
-			if lazy {
-				row.LazyBase, row.LazyStagg = s, n
-			} else {
-				row.EagerBase, row.EagerStagg = s, n
-			}
-		}
-		rows = append(rows, row)
+	for i, b := range lazyBenches {
+		r := rs[i] // eager seq, base, stag; then lazy seq, base, stag
+		rows = append(rows, LazyRow{
+			Bench:      b,
+			EagerBase:  speedup(r[0], r[1]),
+			EagerStagg: speedup(r[1], r[2]),
+			LazyBase:   speedup(r[3], r[4]),
+			LazyStagg:  speedup(r[4], r[5]),
+		})
 	}
 	return rows, nil
 }
@@ -549,31 +489,23 @@ type ScalingRow struct {
 // staggered systems (the paper notes, e.g., that list-hi "stops scaling
 // after 4 threads" on plain HTM).
 func Scaling(bench string, seed int64) ([]ScalingRow, error) {
-	cells := []RunConfig{{Benchmark: bench, Mode: stagger.ModeHTM, Threads: 1, Seed: seed}}
-	for _, th := range []int{1, 2, 4, 8, 16} {
-		cells = append(cells,
-			RunConfig{Benchmark: bench, Mode: stagger.ModeHTM, Threads: th, Seed: seed},
-			RunConfig{Benchmark: bench, Mode: stagger.ModeStaggeredHW, Threads: th, Seed: seed})
+	threads := []int{1, 2, 4, 8, 16}
+	var shapes []RunConfig
+	for _, th := range threads {
+		shapes = append(shapes, RunConfig{Mode: stagger.ModeHTM, Threads: th}, RunConfig{Mode: stagger.ModeStaggeredHW, Threads: th})
 	}
-	warm(cells)
-	seq, err := runVerified(RunConfig{Benchmark: bench, Mode: stagger.ModeHTM, Threads: 1, Seed: seed})
+	rs, err := grid([]string{bench}, seed, shapes...)
 	if err != nil {
 		return nil, err
 	}
+	r := rs[0]
+	seq := r[0] // the 1-thread HTM cell is every point's denominator
 	var rows []ScalingRow
-	for _, th := range []int{1, 2, 4, 8, 16} {
-		base, err := runVerified(RunConfig{Benchmark: bench, Mode: stagger.ModeHTM, Threads: th, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		stag, err := runVerified(RunConfig{Benchmark: bench, Mode: stagger.ModeStaggeredHW, Threads: th, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
+	for i, th := range threads {
 		rows = append(rows, ScalingRow{
 			Threads: th,
-			HTM:     float64(seq.Makespan()) / float64(base.Makespan()),
-			Stag:    float64(seq.Makespan()) / float64(stag.Makespan()),
+			HTM:     speedup(seq, r[2*i]),
+			Stag:    speedup(seq, r[2*i+1]),
 		})
 	}
 	return rows, nil

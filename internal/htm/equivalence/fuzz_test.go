@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/workloads"
 )
 
@@ -16,14 +17,14 @@ import (
 // the same cell space the experiments use.
 func FuzzEngineEquivalence(f *testing.F) {
 	// Table 1's row order (the paper's six representative benchmarks),
-	// at sequential and contended thread counts — the exact cells the
-	// table generators warm first.
+	// at sequential and contended thread counts — the first cells the
+	// paper's evaluation runs.
 	names := workloads.Names()
 	idx := make(map[string]uint8, len(names))
 	for i, n := range names {
 		idx[n] = uint8(i)
 	}
-	for _, bench := range []string{"list-hi", "tsp", "memcached", "intruder", "kmeans", "vacation"} {
+	for _, bench := range harness.Table1Benchmarks() {
 		f.Add(idx[bench], int64(42), uint8(0), uint8(0))
 		f.Add(idx[bench], int64(42), uint8(0), uint8(3))
 	}
